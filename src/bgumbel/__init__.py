@@ -17,6 +17,7 @@ from .distribution import (
     bg_moment,
     bg_moment_set,
     bg_pdf,
+    bg_sf,
     gumbel_cdf,
     gumbel_moment,
     gumbel_pdf,
@@ -100,7 +101,7 @@ __all__ = [
     "BlockMaximaConfig", "GofReport", "ModelComparison", "DescriptiveStats",
     "Constants", "QuadratureSpec", "CONSTANTS", "DEFAULT_QUADRATURE",
     # distribution
-    "normalizer", "bg_pdf", "bg_log_pdf", "bg_cdf", "weighted_gumbel_cdf",
+    "normalizer", "bg_pdf", "bg_log_pdf", "bg_cdf", "bg_sf", "weighted_gumbel_cdf",
     "mixture_weights", "bg_moment", "bg_moment_set", "bg_mgf", "bg_exp_moment",
     "gumbel_pdf", "gumbel_cdf", "gumbel_ppf", "gumbel_moment",
     # shape

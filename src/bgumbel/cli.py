@@ -147,7 +147,7 @@ def _cmd_eval(args) -> int:
             rows = [[float(x), float(bg_pdf(p, float(x)))] for x in xs]
             header = ["x", "pdf"]
         elif args.what == "cdf":
-            rows = [[float(x), float(bg_cdf(p, float(x)))] for x in xs]
+            rows = [[float(x), float(f)] for x, f in zip(xs, bg_cdf(p, xs))]
             header = ["x", "cdf"]
         else:
             rows = []

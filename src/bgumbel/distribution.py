@@ -14,9 +14,9 @@ recovers the plain Gumbel distribution; nonzero delta can split the density
 into two modes.
 
 This module provides the parameter types, the normalizer, density / log
-density / distribution function, weighted Gumbel distribution functions,
-raw moments and moment summaries, and the moment generating function with
-its polynomial-weighted generalization E[X^m exp(tX)].
+density / distribution and survival functions, weighted Gumbel distribution
+functions, raw moments and moment summaries, and the moment generating
+function with its polynomial-weighted generalization E[X^m exp(tX)].
 """
 from __future__ import annotations
 
@@ -32,9 +32,8 @@ from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     gamma_deriv,
-    incomplete_log_moment,
     log_moment_constant,
-    upper_incomplete_gamma,
+    log_weight_shares,
 )
 
 __all__ = [
@@ -50,6 +49,7 @@ __all__ = [
     "bg_pdf",
     "bg_log_pdf",
     "bg_cdf",
+    "bg_sf",
     "weighted_gumbel_cdf",
     "mixture_weights",
     "bg_moment",
@@ -60,10 +60,6 @@ __all__ = [
 
 _EG = CONSTANTS.euler_gamma
 _PI = CONSTANTS.pi
-
-# exp(-(x - mu)/sigma) exceeds 700 left of this standardized point; the
-# distribution function there is below 1e-300 and is reported as 0.
-_LEFT_TAIL_W = -math.log(700.0)
 
 
 @dataclass(frozen=True)
@@ -200,26 +196,28 @@ def bg_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     return out if np.ndim(out) else float(out)
 
 
-def _cdf_scalar(p: BgParams, x: float, spec: QuadratureSpec) -> float:
-    w = (x - p.mu) / p.sigma
-    if w < _LEFT_TAIL_W:
-        # exp(-w) > 700: the true value is below 1e-300.
-        return 0.0
-    z = math.exp(-w)
-    if z == 0.0:
-        return 1.0
-    ee = math.exp(-z)
-    dm = p.delta * p.mu
-    t1 = (2.0 - dm * (2.0 - dm)) * ee
-    t2 = p.delta**2 * p.sigma**2 * incomplete_log_moment(2, z, math.inf, spec)
-    t3 = (
-        2.0
-        * p.delta
-        * (1.0 - dm)
-        * ((x - p.mu) * ee - p.sigma * upper_incomplete_gamma(0.0, z))
-    )
-    val = (t1 + t2 - t3) / normalizer(p)
-    return min(max(val, 0.0), 1.0)
+def _shares(
+    p: BgParams | GumbelParams, q: tuple[float, float, float], x: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Shares of the weight q0 + q1 ln v + q2 ln^2 v above and below v = z(x).
+
+    With v = exp(-(y - mu)/sigma), {Y <= x} is {V >= z(x)} for a Gumbel
+    variable Y, so the upper share is a distribution function and the lower
+    one its survival function.
+    """
+    w = (np.asarray(x, dtype=float) - p.mu) / p.sigma
+    with np.errstate(over="ignore"):
+        z = np.exp(-w)
+    upper, lower = log_weight_shares(q, z)
+    if upper.ndim:
+        return upper, lower
+    return float(upper), float(lower)
+
+
+def _bg_weight(p: BgParams) -> tuple[float, float, float]:
+    """(1 - delta x)^2 + 1 at x = mu - sigma ln v, as coefficients of 1, ln v, ln^2 v."""
+    a, b = 1.0 - p.delta * p.mu, p.delta * p.sigma
+    return a * a + 1.0, 2.0 * a * b, b * b
 
 
 def bg_cdf(
@@ -227,29 +225,39 @@ def bg_cdf(
     x: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float | np.ndarray:
-    """Distribution function of the BG law.
+    """Distribution function of the BG law, vectorized over ``x``.
 
-    Evaluated in closed form up to the single quadrature I(2; ., inf); the
-    delta = 0 case reduces exactly to the Gumbel distribution function.
+    Accurate to about 1e-13 relative even in the far left tail, down to
+    values near 1e-300; the delta = 0 case reduces to the Gumbel
+    distribution function.  ``spec`` is accepted for compatibility and not
+    used: the kernel (:func:`~bgumbel.special.log_weight_shares`) has no
+    adaptive quadrature.
     """
-    if np.ndim(x) == 0:
-        return _cdf_scalar(p, float(x), spec)
-    xv = np.asarray(x, dtype=float)
-    return np.array([_cdf_scalar(p, float(v), spec) for v in xv.ravel()]).reshape(xv.shape)
+    return _shares(p, _bg_weight(p), x)[0]
+
+
+def bg_sf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
+    """Survival function 1 - F of the BG law, vectorized over ``x``.
+
+    Computed as an integral of its own, not as 1 - F, so it keeps about
+    1e-13 relative accuracy in the far right tail.
+    """
+    return _shares(p, _bg_weight(p), x)[1]
 
 
 def weighted_gumbel_cdf(
     p: GumbelParams,
     k: int,
-    x: float,
+    x: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+) -> float | np.ndarray:
     """Distribution function of the Y^k-weighted Gumbel law, k = 0, 1, 2.
 
     Returns E[Y^k 1_{Y <= x}] / E[Y^k].  k = 0 is the plain Gumbel
     distribution function.  For k = 1 the weight takes both signs, so the
     returned function is a signed mixture component and may leave [0, 1];
     it is still the exact ingredient of the three-part mixture identity.
+    ``spec`` is unused, as in :func:`bg_cdf`.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"weighted_gumbel_cdf supports k = 0, 1, 2, got {k}")
@@ -258,24 +266,10 @@ def weighted_gumbel_cdf(
         raise DegenerateWeightError(
             f"E[Y^{k}] = {den!r} is numerically zero; the weighted law is undefined"
         )
-    w = (x - p.mu) / p.sigma
-    if w < _LEFT_TAIL_W:
-        return 0.0
-    z = math.exp(-w)
-    if z == 0.0:
-        return 1.0
-    ee = math.exp(-z)
-    i0 = ee
-    # I(1; z, inf) = -exp(-z) ln z - Gamma(0, z), with ln z = -w.
-    i1 = ee * w - upper_incomplete_gamma(0.0, z)
-    if k == 0:
-        num = i0
-    elif k == 1:
-        num = p.mu * i0 + p.sigma * i1
-    else:
-        i2 = incomplete_log_moment(2, z, math.inf, spec)
-        num = p.mu**2 * i0 + 2.0 * p.mu * p.sigma * i1 + p.sigma**2 * i2
-    return num / den
+    # Y^k with Y = mu - sigma ln v, as coefficients of 1, ln v, ln^2 v.
+    mu, sg = p.mu, p.sigma
+    q = ((1.0, 0.0, 0.0), (mu, -sg, 0.0), (mu * mu, -2.0 * mu * sg, sg * sg))[k]
+    return _shares(p, q, x)[0]
 
 
 def mixture_weights(p: BgParams) -> tuple[float, float, float]:
@@ -301,21 +295,25 @@ def _quantile(
 ) -> float:
     """Numerical quantile by bracketed root finding on the distribution function.
 
-    Internal helper (used by sampling and test oracles); accuracy follows the
-    bracketing tolerance, not a public contract.
+    Internal helper (used by test oracles); accuracy follows the bracketing
+    tolerance, not a public contract.  ``spec`` is unused, as in :func:`bg_cdf`.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
-    lo, hi = p.mu - p.sigma, p.mu + p.sigma
-    step = p.sigma
-    while _cdf_scalar(p, lo, spec) > q:
-        step *= 2.0
-        lo -= step
-    step = p.sigma
-    while _cdf_scalar(p, hi, spec) < q:
-        step *= 2.0
-        hi += step
-    return float(brentq(lambda t: _cdf_scalar(p, t, spec) - q, lo, hi, xtol=1e-12))
+    lo, hi = _bracket(p, q, q)
+    return float(brentq(lambda t: bg_cdf(p, t) - q, lo, hi, xtol=1e-12))
+
+
+def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """The nearest lo = mu - r and hi = mu + r' with F(lo) <= f_lo and F(hi) >= f_hi.
+
+    r and r' are taken from sigma * (1, 3, 7, 15, ...); 0 < f_lo and
+    f_hi < 1 are always met before the end of the ladder.
+    """
+    reach = p.sigma * (2.0 ** np.arange(1.0, 41.0) - 1.0)
+    lo = p.mu - reach[np.argmax(bg_cdf(p, p.mu - reach) <= f_lo)]
+    hi = p.mu + reach[np.argmax(bg_cdf(p, p.mu + reach) >= f_hi)]
+    return float(lo), float(hi)
 
 
 # ----------------------------------------------------------------------
@@ -353,66 +351,17 @@ def bg_moment(p: BgParams, k: int) -> float:
     return (lead + tail) / normalizer(p)
 
 
-def _mean_closed(p: BgParams) -> float:
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    i3 = log_moment_constant(3)
-    i2 = log_moment_constant(2)
-    num = (
-        dl**2 * sg**3 * i3
-        - dl * sg**2 * (2.0 - 3.0 * dl * mu) * i2
-        + mu * (2.0 - dl * mu * (2.0 - dl * mu))
-        + sg * (2.0 - dl * mu * (4.0 - 3.0 * dl * mu)) * _EG
-    )
-    return num / normalizer(p)
-
-
-def _second_raw_closed(p: BgParams) -> float:
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    i4, i3, i2 = log_moment_constant(4), log_moment_constant(3), log_moment_constant(2)
-    num = (
-        dl**2 * sg**4 * i4
-        - 2.0 * dl * sg**3 * (1.0 - 2.0 * dl * mu) * i3
-        + mu**2 * (2.0 - dl * mu * (2.0 - dl * mu))
-        + 2.0 * sg * mu * (2.0 - dl * mu * (3.0 - 2.0 * dl * mu)) * _EG
-        + 2.0 * sg**2 * (1.0 - 3.0 * dl * mu * (1.0 - dl * mu)) * i2
-    )
-    return num / normalizer(p)
-
-
-def _third_raw_closed(p: BgParams) -> float:
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    i5, i4, i3, i2 = (
-        log_moment_constant(5),
-        log_moment_constant(4),
-        log_moment_constant(3),
-        log_moment_constant(2),
-    )
-    num = (
-        dl**2 * sg**5 * i5
-        - dl * sg**4 * (2.0 - 5.0 * dl * mu) * i4
-        + mu**3 * (2.0 - dl * mu * (2.0 - dl * mu))
-        + sg * mu**2 * (6.0 - dl * mu * (8.0 - 5.0 * dl * mu)) * _EG
-        + 2.0 * sg**2 * mu * (3.0 - dl * mu * (6.0 - 5.0 * dl * mu)) * i2
-        + 2.0 * sg**3 * (1.0 - dl * mu * (4.0 - 5.0 * dl * mu)) * i3
-    )
-    return num / normalizer(p)
-
-
 def bg_moment_set(p: BgParams) -> MomentSet:
     """Mean, raw second/third moments, variance, skewness and kurtosis.
 
-    The mean and second/third raw moments come from the explicit closed
-    forms; skewness and kurtosis standardize the raw moments through the
-    binomial expansion E[(X - m)/s]^n = s^-n sum_k C(n,k) (-m)^(n-k) E[X^k],
-    with E[X^4] taken from :func:`bg_moment`.
+    The raw moments E[X^k], k = 1..4, come from :func:`bg_moment`; skewness
+    and kurtosis standardize them through the binomial expansion
+    E[(X - m)/s]^n = s^-n sum_k C(n,k) (-m)^(n-k) E[X^k].
     """
-    m1 = _mean_closed(p)
-    m2 = _second_raw_closed(p)
-    m3 = _third_raw_closed(p)
-    m4 = bg_moment(p, 4)
+    moments = tuple(bg_moment(p, k) for k in range(5))
+    m1, m2, m3 = moments[1:4]
     var = m2 - m1 * m1
     sd = math.sqrt(var)
-    moments = (1.0, m1, m2, m3, m4)
 
     def standardized(n: int) -> float:
         total = sum(

@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as sc
-from scipy.stats import chi2
 
 from .distribution import bg_cdf, gumbel_cdf
 from .errors import InsufficientDataError
@@ -129,7 +128,7 @@ def ljung_box(series: Sequence[float], lags: int) -> tuple[float, float]:
         rho = float(np.sum(xc[:-k] * xc[k:])) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
-    return q, float(chi2.sf(q, lags))
+    return q, float(sc.chdtrc(lags, q))
 
 
 def ks_test(data, cdf: Callable[[float], float]) -> tuple[float, float]:
@@ -140,10 +139,14 @@ def ks_test(data, cdf: Callable[[float], float]) -> tuple[float, float]:
     sqrt(n) D.
     """
     x = np.sort(np.asarray(data, dtype=float).ravel())
-    n = x.size
-    if n == 0:
+    if x.size == 0:
         raise InsufficientDataError("empty data")
-    f = np.asarray([float(cdf(v)) for v in x])
+    return _ks_statistic(np.asarray([float(cdf(v)) for v in x]))
+
+
+def _ks_statistic(f: np.ndarray) -> tuple[float, float]:
+    """KS distance and asymptotic p-value from F at the sorted sample."""
+    n = f.size
     i = np.arange(1, n + 1)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1) / n))
@@ -173,11 +176,12 @@ def descriptive_stats(data) -> DescriptiveStats:
 
 
 def _gof_for_fit(fit: FitResult, data: np.ndarray, model_name: str, k: int) -> GofReport:
+    x = np.sort(data)
     if model_name == "gumbel":
-        cdf = lambda v: gumbel_cdf(fit.params.gumbel, v)
+        f = gumbel_cdf(fit.params.gumbel, x)
     else:
-        cdf = lambda v: bg_cdf(fit.params, v)
-    stat, p = ks_test(data, cdf)
+        f = bg_cdf(fit.params, x)
+    stat, p = _ks_statistic(f)
     aic, bic = information_criteria(fit.log_likelihood, k, data.size)
     return GofReport(
         model_name=model_name,

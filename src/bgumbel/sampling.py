@@ -11,8 +11,9 @@ Two generators are provided:
   component carries a signed weight (the weight y changes sign on the
   Gumbel support), so the components cannot be inverted one at a time;
   instead the assembled mixture distribution function
-  p1 F0 + p2 F1 + p3 F2 - which is monotone - is tabulated once on an
-  adaptive grid and inverted through a monotone cubic interpolant.
+  p1 F0 + p2 F1 + p3 F2 - which is the monotone BG distribution function -
+  is tabulated once on an adaptive grid and inverted through a monotone
+  cubic interpolant.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); the seed is part
 of the public contract and identical seeds give bit-identical output.
@@ -25,19 +26,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import exp1
 
-from .distribution import (
-    BgParams,
-    bg_cdf,
-    bg_moment_set,
-    bg_pdf,
-    gumbel_moment,
-    mixture_weights,
-    normalizer,
-)
+from .distribution import BgParams, _bracket, bg_cdf, bg_moment_set, bg_pdf, normalizer
 from .errors import RegimeError
-from .special import CONSTANTS, DEFAULT_QUADRATURE, QuadratureSpec, incomplete_log_moment
+from .special import CONSTANTS, DEFAULT_QUADRATURE, QuadratureSpec
 
 __all__ = [
     "McmcConfig",
@@ -161,33 +153,14 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
 # Mixture-representation sampler
 # ----------------------------------------------------------------------
 
-def _mixture_cdf_table(
-    p: BgParams, spec: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate p1 F0 + p2 F1 + p3 F2 on an adaptive node set.
+def _cdf_table(p: BgParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate the distribution function on an adaptive node set.
 
-    The weighted component distribution functions are evaluated from their
-    log-moment representations; the only non-closed ingredient,
-    I(2; exp(-w), inf), is accumulated with Gauss-Legendre panels of the
-    transformed integrand s^2 exp(-s - exp(-s)) along the standardized grid.
+    By the mixture identity this is p1 F0 + p2 F1 + p3 F2.  The nodes span
+    F from 1e-12 to 1 - 1e-12 and are refined until no panel carries more
+    than ~1e-3 probability.
     """
-    mu, sg = p.mu, p.sigma
-    p1, p2, p3 = mixture_weights(p)
-    ey1 = gumbel_moment(p.gumbel, 1)
-    ey2 = gumbel_moment(p.gumbel, 2)
-
-    lo, hi = mu - sg, mu + sg
-    step = sg
-    while bg_cdf(p, lo, spec) > 1e-12:
-        step *= 2.0
-        lo -= step
-    step = sg
-    while bg_cdf(p, hi, spec) < 1.0 - 1e-12:
-        step *= 2.0
-        hi += step
-
-    xs = np.linspace(lo, hi, 2049)
-    # Refine by mass so that no panel carries more than ~1e-3 probability.
+    xs = np.linspace(*_bracket(p, 1e-12, 1.0 - 1e-12), 2049)
     for _ in range(8):
         dens = bg_pdf(p, xs)
         mass = (dens[1:] + dens[:-1]) / 2.0 * np.diff(xs)
@@ -197,23 +170,7 @@ def _mixture_cdf_table(
         mids = (xs[:-1][heavy] + xs[1:][heavy]) / 2.0
         xs = np.unique(np.concatenate([xs, mids]))
 
-    w = (xs - mu) / sg
-    z = np.exp(-w)
-    f0 = np.exp(-z)
-    i1 = f0 * w - exp1(z)
-    f1 = (mu * f0 + sg * i1) / ey1
-
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    a, b = w[:-1], w[1:]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    ss = mid[:, None] + half[:, None] * nodes[None, :]
-    panel = ((ss**2 * np.exp(-ss - np.exp(-ss))) * wts[None, :]).sum(axis=1) * half
-    i2_left = incomplete_log_moment(2, float(z[0]), math.inf, spec)
-    i2 = i2_left + np.concatenate([[0.0], np.cumsum(panel)])
-    f2 = (mu**2 * f0 + 2.0 * mu * sg * i1 + sg**2 * i2) / ey2
-
-    cdf = p1 * f0 + p2 * f1 + p3 * f2
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    cdf = np.maximum.accumulate(bg_cdf(p, xs))
     keep = np.concatenate([[True], np.diff(cdf) > 1e-15])
     return cdf[keep], xs[keep]
 
@@ -229,7 +186,8 @@ def representation_sample(
     Requires delta * (mu + sigma * gamma) < 0, the regime in which the
     mixture probabilities (p1, p2, p3) are all nonnegative.  Uniform variates
     are pushed through a monotone interpolant of the tabulated mixture
-    distribution function p1 F0 + p2 F1 + p3 F2.
+    distribution function p1 F0 + p2 F1 + p3 F2.  ``spec`` is unused, as in
+    :func:`~bgumbel.distribution.bg_cdf`.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -240,7 +198,7 @@ def representation_sample(
             f"(got delta={p.delta}, mu + sigma*gamma={m}); "
             "use mh_sample for parameters outside this regime"
         )
-    cdf, xs = _mixture_cdf_table(p, spec)
+    cdf, xs = _cdf_table(p)
     inverse = PchipInterpolator(cdf, xs)
     rng = np.random.default_rng(seed)
     u = np.clip(rng.uniform(size=n), cdf[0], cdf[-1])

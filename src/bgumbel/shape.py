@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .distribution import BgParams, bg_cdf, bg_pdf
+from .distribution import BgParams, bg_pdf, bg_sf
 from .errors import RegimeError, RootIsolationError
 from .special import DEFAULT_QUADRATURE, QuadratureSpec
 
@@ -37,7 +37,6 @@ __all__ = [
 
 _GRID_SIZES = (4096, 8192, 16384, 32768, 65536)
 _MIN_ABS_DELTA = 0.05  # caps the search-window widening for small |delta|
-_SURVIVAL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,13 @@ def hazard(
     x: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> HazardPoint:
-    """Survival 1 - F(x) and hazard rate f(x) / (1 - F(x)).
+    """Survival S(x) = 1 - F(x) and hazard rate f(x) / S(x).
 
-    Far enough right that the survival underflows, the hazard is reported at
-    its tail limit 1/sigma.
+    The survival comes from :func:`~bgumbel.distribution.bg_sf`, accurate in
+    relative terms in the far right tail.  Only where it underflows to 0 is
+    the hazard reported at its tail limit 1/sigma.  ``spec`` is unused.
     """
-    surv = 1.0 - bg_cdf(p, x, spec)
-    if surv < _SURVIVAL_FLOOR:
-        return HazardPoint(x=x, survival=max(surv, 0.0), hazard=tail_rate(p))
+    surv = bg_sf(p, x)
+    if surv == 0.0:
+        return HazardPoint(x=x, survival=0.0, hazard=tail_rate(p))
     return HazardPoint(x=x, survival=surv, hazard=bg_pdf(p, x) / surv)

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import bgumbel
 from bgumbel import (
     BgParams,
     BlockMaximaConfig,
@@ -88,6 +92,21 @@ class TestLjungBox:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             ljung_box([1.0, 2.0, 3.0], lags=5)
+
+    def test_pvalue_is_chi_square_survival(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(8)
+        stat, p = ljung_box(rng.normal(size=200), lags=6)
+        assert p == pytest.approx(chi2.sf(stat, 6), rel=1e-12)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a third of `import bgumbel`; nothing in
+        # the package needs it.
+        src = str(Path(bgumbel.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import bgumbel; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestKsTest:
