@@ -43,7 +43,7 @@ from .model_selection import (
     ljung_box,
     read_series_csv,
 )
-from .sampling import McmcConfig, chain_summary, mh_sample, representation_sample
+from .sampling import McmcConfig, _draws_csv_text, chain_summary, mh_sample, representation_sample
 from .shape import find_modes, hazard
 
 EXIT_OK = 0
@@ -222,8 +222,7 @@ def _cmd_sample(args) -> int:
     else:
         draws = representation_sample(p, args.n, seed)
 
-    lines = ["draw"] + [f"{float(v):.17g}" for v in draws]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_draws_csv_text(draws), args.output)
     _write_manifest_sidecar(args.output, manifest)
     return EXIT_OK
 
@@ -255,8 +254,7 @@ def _cmd_simulate(args) -> int:
                 if size > summ.n:
                     continue
                 path = out_dir / f"chain_set{idx + 1}_n{size}.csv"
-                lines = ["draw"] + [f"{float(v):.17g}" for v in chain.draws[:size]]
-                _atomic_write(path, "\n".join(lines) + "\n")
+                _atomic_write(path, _draws_csv_text(chain.draws[:size]))
                 prefix_files.append(str(path))
     manifest["chain_prefix_files"] = prefix_files
     if args.out_dir:

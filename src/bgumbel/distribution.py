@@ -27,14 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateWeightError
-from .special import (
-    CONSTANTS,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    gamma_deriv,
-    log_moment_constant,
-    log_weight_shares,
-)
+from .special import CONSTANTS, _log_poly_gamma, log_weight_shares
 
 __all__ = [
     "BgParams",
@@ -163,17 +156,12 @@ def gumbel_ppf(p: GumbelParams, q: float | np.ndarray) -> float | np.ndarray:
 def gumbel_moment(p: GumbelParams, k: int) -> float:
     """Raw moment E[Y^k] of a Gumbel variable, k = 0..6.
 
-    Expands (mu - sigma ln v)^k binomially against the log-moment constants
-    I(i; 0, inf).
+    With Y = mu - sigma ln V and V ~ Exp(1), this is
+    sum_j q_j Gamma^(j)(1) for the coefficients q of (mu - sigma ln v)^k.
     """
     if not 0 <= k <= 6:
         raise ValueError(f"gumbel_moment supports k = 0..6, got {k}")
-    return float(
-        sum(
-            math.comb(k, i) * p.mu ** (k - i) * p.sigma**i * log_moment_constant(i)
-            for i in range(k + 1)
-        )
-    )
+    return _log_poly_gamma(_linear_power(p.mu, -p.sigma, k))
 
 
 # ----------------------------------------------------------------------
@@ -220,18 +208,12 @@ def _bg_weight(p: BgParams) -> tuple[float, float, float]:
     return a * a + 1.0, 2.0 * a * b, b * b
 
 
-def bg_cdf(
-    p: BgParams,
-    x: float | np.ndarray,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float | np.ndarray:
+def bg_cdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     """Distribution function of the BG law, vectorized over ``x``.
 
     Accurate to about 1e-13 relative even in the far left tail, down to
     values near 1e-300; the delta = 0 case reduces to the Gumbel
-    distribution function.  ``spec`` is accepted for compatibility and not
-    used: the kernel (:func:`~bgumbel.special.log_weight_shares`) has no
-    adaptive quadrature.
+    distribution function.
     """
     return _shares(p, _bg_weight(p), x)[0]
 
@@ -245,19 +227,13 @@ def bg_sf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     return _shares(p, _bg_weight(p), x)[1]
 
 
-def weighted_gumbel_cdf(
-    p: GumbelParams,
-    k: int,
-    x: float | np.ndarray,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float | np.ndarray:
+def weighted_gumbel_cdf(p: GumbelParams, k: int, x: float | np.ndarray) -> float | np.ndarray:
     """Distribution function of the Y^k-weighted Gumbel law, k = 0, 1, 2.
 
     Returns E[Y^k 1_{Y <= x}] / E[Y^k].  k = 0 is the plain Gumbel
     distribution function.  For k = 1 the weight takes both signs, so the
     returned function is a signed mixture component and may leave [0, 1];
     it is still the exact ingredient of the three-part mixture identity.
-    ``spec`` is unused, as in :func:`bg_cdf`.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"weighted_gumbel_cdf supports k = 0, 1, 2, got {k}")
@@ -266,9 +242,7 @@ def weighted_gumbel_cdf(
         raise DegenerateWeightError(
             f"E[Y^{k}] = {den!r} is numerically zero; the weighted law is undefined"
         )
-    # Y^k with Y = mu - sigma ln v, as coefficients of 1, ln v, ln^2 v.
-    mu, sg = p.mu, p.sigma
-    q = ((1.0, 0.0, 0.0), (mu, -sg, 0.0), (mu * mu, -2.0 * mu * sg, sg * sg))[k]
+    q = _linear_power(p.mu, -p.sigma, k) + (0.0,) * (2 - k)
     return _shares(p, q, x)[0]
 
 
@@ -288,15 +262,11 @@ def mixture_weights(p: BgParams) -> tuple[float, float, float]:
     return p1, p2, p3
 
 
-def _quantile(
-    p: BgParams,
-    q: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def _quantile(p: BgParams, q: float) -> float:
     """Numerical quantile by bracketed root finding on the distribution function.
 
     Internal helper (used by test oracles); accuracy follows the bracketing
-    tolerance, not a public contract.  ``spec`` is unused, as in :func:`bg_cdf`.
+    tolerance, not a public contract.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
@@ -320,62 +290,60 @@ def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:
 # Moments
 # ----------------------------------------------------------------------
 
-def bg_moment(p: BgParams, k: int) -> float:
-    """Raw moment E[X^k] for k = 0..4 via the binomial/log-moment expansion.
+def _poly_mul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Product of two polynomials in ln v, as coefficients of 1, ln v, ..."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
-    E[X^k] * Z = delta^2 s^(k+2) I(k+2) - delta s^(k+1) [2 - delta mu (k+2)] I(k+1)
-                 + sum_i s^i mu^(k-i) [2 C(k,i) - 2 delta mu C(k+1,i)
-                                       + delta^2 mu^2 C(k+2,i)] I(i),
 
-    where I(i) = I(i; 0, inf) and s = sigma.
+def _linear_power(c0: float, c1: float, k: int) -> tuple[float, ...]:
+    """(c0 + c1 ln v)^k; with (mu, -sigma) it is Y^k for Y = mu - sigma ln v."""
+    out = (1.0,)
+    for _ in range(k):
+        out = _poly_mul(out, (c0, c1))
+    return out
+
+
+def _expect(p: BgParams, c: tuple[float, ...], a: float = 1.0) -> float:
+    """E[c(ln V) V^(a-1)] for X = mu - sigma ln V under the BG law.
+
+    The density of V is _bg_weight(ln v) e^-v / Z, so this is
+    sum_j (c * weight)_j Gamma^(j)(a) / Z; see
+    :func:`~bgumbel.special._log_poly_gamma`.
     """
+    return _log_poly_gamma(_poly_mul(c, _bg_weight(p)), a) / normalizer(p)
+
+
+def bg_moment(p: BgParams, k: int) -> float:
+    """Raw moment E[X^k] for k = 0..4: the expectation of (mu - sigma ln V)^k."""
     if not 0 <= k <= 4:
         raise ValueError(f"bg_moment supports k = 0..4, got {k}")
     if k == 0:
         return 1.0
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    lead = dl**2 * sg ** (k + 2) * log_moment_constant(k + 2) - dl * sg ** (k + 1) * (
-        2.0 - dl * mu * (k + 2)
-    ) * log_moment_constant(k + 1)
-    tail = sum(
-        sg**i
-        * mu ** (k - i)
-        * (
-            2.0 * math.comb(k, i)
-            - 2.0 * dl * mu * math.comb(k + 1, i)
-            + dl**2 * mu**2 * math.comb(k + 2, i)
-        )
-        * log_moment_constant(i)
-        for i in range(k + 1)
-    )
-    return (lead + tail) / normalizer(p)
+    return _expect(p, _linear_power(p.mu, -p.sigma, k))
 
 
 def bg_moment_set(p: BgParams) -> MomentSet:
     """Mean, raw second/third moments, variance, skewness and kurtosis.
 
-    The raw moments E[X^k], k = 1..4, come from :func:`bg_moment`; skewness
-    and kurtosis standardize them through the binomial expansion
-    E[(X - m)/s]^n = s^-n sum_k C(n,k) (-m)^(n-k) E[X^k].
+    The raw moments come from :func:`bg_moment`.  The central moments are
+    taken about the mean directly, never from raw moments:
+    X - E[X] = d - sigma ln V with d = mu - E[X] = sigma E[ln V], so
+    E[(X - E[X])^n] is the expectation of (d - sigma ln V)^n.  This holds
+    for any |mu| / sigma.
     """
-    moments = tuple(bg_moment(p, k) for k in range(5))
-    m1, m2, m3 = moments[1:4]
-    var = m2 - m1 * m1
-    sd = math.sqrt(var)
-
-    def standardized(n: int) -> float:
-        total = sum(
-            math.comb(n, j) * (-m1) ** (n - j) * moments[j] for j in range(n + 1)
-        )
-        return total / sd**n
-
+    d = _expect(p, (0.0, p.sigma))
+    var, mu3, mu4 = (_expect(p, _linear_power(d, -p.sigma, n)) for n in (2, 3, 4))
     return MomentSet(
-        mean=m1,
-        second_raw=m2,
-        third_raw=m3,
+        mean=bg_moment(p, 1),
+        second_raw=bg_moment(p, 2),
+        third_raw=bg_moment(p, 3),
         variance=var,
-        skewness=standardized(3),
-        kurtosis=standardized(4),
+        skewness=mu3 / var**1.5,
+        kurtosis=mu4 / var**2,
     )
 
 
@@ -384,26 +352,8 @@ def bg_moment_set(p: BgParams) -> MomentSet:
 # ----------------------------------------------------------------------
 
 def _exp_moment_raw(p: BgParams, m: int, t: float) -> float:
-    """E[X^m exp(tX)] via gamma derivatives; valid whenever 1 - sigma*t > 0."""
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    a = 1.0 - sg * t
-    lead = (-1.0) ** m * math.exp(t * mu) * (
-        dl**2 * sg ** (m + 2) * gamma_deriv(m + 2, a)
-        + dl * sg ** (m + 1) * (2.0 - dl * mu * (m + 2)) * gamma_deriv(m + 1, a)
-    )
-    tail = sum(
-        (-1.0) ** i
-        * sg**i
-        * mu ** (m - i)
-        * (
-            2.0 * math.comb(m, i)
-            - 2.0 * dl * mu * math.comb(m + 1, i)
-            + dl**2 * mu**2 * math.comb(m + 2, i)
-        )
-        * gamma_deriv(i, a)
-        for i in range(m + 1)
-    )
-    return (lead + math.exp(t * mu) * tail) / normalizer(p)
+    """E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(-sigma t)], for 1 - sigma t > 0."""
+    return math.exp(t * p.mu) * _expect(p, _linear_power(p.mu, -p.sigma, m), 1.0 - p.sigma * t)
 
 
 def bg_mgf(p: BgParams, t: float) -> float:
@@ -415,20 +365,9 @@ def bg_mgf(p: BgParams, t: float) -> float:
     if p.delta == 0.0:
         if t >= 1.0 / p.sigma:
             raise ValueError(f"mgf of the Gumbel case requires t < 1/sigma, got t={t}")
-        return math.exp(p.mu * t) * gamma_deriv(0, 1.0 - p.sigma * t)
-    if t >= 0.0:
+    elif t >= 0.0:
         raise ValueError(f"mgf requires t < 0, got t={t}")
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    a = 1.0 - sg * t
-    gam = gamma_deriv(0, a)
-    bracket = (
-        2.0
-        - 2.0 * mu * dl
-        + mu**2 * dl**2
-        + 2.0 * sg * dl * (1.0 - mu * dl) * (gamma_deriv(1, a) / gam)
-        + sg**2 * dl**2 * gamma_deriv(2, a) / gam
-    )
-    return math.exp(mu * t) * gam * bracket / normalizer(p)
+    return _exp_moment_raw(p, 0, t)
 
 
 def bg_exp_moment(p: BgParams, m: int, t: float) -> float:

@@ -22,9 +22,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from .distribution import BgParams, bg_log_pdf, bg_moment_set, normalizer, _exp_moment_raw
+from .distribution import BgParams, _expect, normalizer
 from .errors import DegenerateDataError, InsufficientDataError
-from .special import CONSTANTS, DEFAULT_QUADRATURE, QuadratureSpec
+from .special import CONSTANTS
 
 __all__ = [
     "FitResult",
@@ -42,6 +42,8 @@ _PI = CONSTANTS.pi
 _DELTA_START_MULTIPLIERS = (0.1, 0.25, 0.63, 1.6, 4.0, 10.0)
 _CONVERGENCE_FACTOR = 1e-6
 _TIE_TOL = 1e-8
+# Adaptive quadrature of the E[F4] term of fisher_information.
+_F4_ABS_TOL, _F4_REL_TOL, _F4_LIMIT = 1e-12, 1e-10, 200
 
 
 @dataclass(frozen=True)
@@ -160,38 +162,33 @@ def hessian(p: BgParams, data) -> np.ndarray:
     return h
 
 
-def fisher_information(
-    p: BgParams, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> np.ndarray:
+def fisher_information(p: BgParams) -> np.ndarray:
     """Per-observation Fisher information matrix E[-d2 ln f / dtheta dtheta'].
 
-    The exponential-weight expectations
+    With W = (X - mu)/sigma = -ln V, the exponential-weight expectations
 
-        E[F1] = E[exp(-W)],                     W = (X - mu)/sigma,
-        E[F2] = E[(1 - W) exp(-W)],
+        E[F1] = E[exp(-W)]                     = E[V],
+        E[F2] = E[(1 - W) exp(-W)]             = E[(1 + ln V) V],
         E[F3] = E[(X - mu)(2 - (2 - W) exp(-W))]
+              = -2 sigma E[ln V] + sigma E[(2 ln V + ln^2 V) V]
 
-    reduce to gamma-derivative expressions (the E[X^m exp(tX)] machinery at
-    t = -1/sigma); the delta-block expectation E[F4] has no closed form and
-    is integrated numerically.
+    are log-polynomial expectations at a = 2 (and a = 1), with no exp(mu)
+    factor, so they hold for any |mu| / sigma.  The delta-block expectation
+    E[F4] has no closed form and is integrated numerically.
     """
     mu, sg, dl = p.mu, p.sigma, p.delta
-    t0 = -1.0 / sg
-    a0 = _exp_moment_raw(p, 0, t0)
-    a1 = _exp_moment_raw(p, 1, t0)
-    a2 = _exp_moment_raw(p, 2, t0)
-    boost = math.exp(mu / sg)
-    ef1 = boost * a0
-    ef2 = boost * ((1.0 + mu / sg) * a0 - a1 / sg)
-    mean = bg_moment_set(p).mean
-    ef3 = 2.0 * (mean - mu) - boost * (
-        -a2 / sg + (2.0 + 2.0 * mu / sg) * a1 - (2.0 * mu + mu**2 / sg) * a0
-    )
+    ef1 = _expect(p, (1.0,), 2.0)
+    ef2 = _expect(p, (1.0, 1.0), 2.0)
+    ef3 = -2.0 * sg * _expect(p, (0.0, 1.0)) + sg * _expect(p, (0.0, 2.0, 1.0), 2.0)
+
+    log_norm = math.log(sg * normalizer(p))
 
     def f4_density(x: float) -> float:
+        w = (x - mu) / sg
         u = 1.0 - dl * x
-        return x * x * (u * u - 1.0) / (u * u + 1.0) ** 2 * math.exp(
-            float(bg_log_pdf(p, x))
+        uu = u * u
+        return x * x * (uu - 1.0) / (uu + 1.0) ** 2 * math.exp(
+            math.log1p(uu) - w - math.exp(-w) - log_norm
         )
 
     lo, hi = mu - 40.0 * sg, mu + 250.0 * sg
@@ -199,9 +196,9 @@ def fisher_information(
         f4_density,
         lo,
         hi,
-        epsabs=spec.abs_tol,
-        epsrel=max(spec.rel_tol, 1e-10),
-        limit=max(spec.max_subdivisions, 200),
+        epsabs=_F4_ABS_TOL,
+        epsrel=_F4_REL_TOL,
+        limit=_F4_LIMIT,
         points=[mu - 2.0 * sg, mu, mu + 4.0 * sg] + ([1.0 / dl] if dl != 0 and lo < 1.0 / dl < hi else []),
     )
     ef4 = res[0]

@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .distribution import BgParams, _bracket, bg_cdf, bg_moment_set, bg_pdf, normalizer
 from .errors import RegimeError
-from .special import CONSTANTS, DEFAULT_QUADRATURE, QuadratureSpec
+from .special import CONSTANTS
 
 __all__ = [
     "McmcConfig",
@@ -175,19 +175,13 @@ def _cdf_table(p: BgParams) -> tuple[np.ndarray, np.ndarray]:
     return cdf[keep], xs[keep]
 
 
-def representation_sample(
-    p: BgParams,
-    n: int,
-    seed: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> np.ndarray:
+def representation_sample(p: BgParams, n: int, seed: int) -> np.ndarray:
     """Exact i.i.d. draws from the weighted-Gumbel mixture representation.
 
     Requires delta * (mu + sigma * gamma) < 0, the regime in which the
     mixture probabilities (p1, p2, p3) are all nonnegative.  Uniform variates
     are pushed through a monotone interpolant of the tabulated mixture
-    distribution function p1 F0 + p2 F1 + p3 F2.  ``spec`` is unused, as in
-    :func:`~bgumbel.distribution.bg_cdf`.
+    distribution function p1 F0 + p2 F1 + p3 F2.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -214,10 +208,13 @@ def chain_summary(c: Chain | np.ndarray) -> ChainSummary:
     return ChainSummary(mean=float(draws.mean()), variance=var, n=int(draws.size))
 
 
+def _draws_csv_text(draws: np.ndarray) -> str:
+    """Single-column CSV text with header ``draw``, one ``.17g`` line per draw."""
+    lines = ["draw"] + [f"{float(v):.17g}" for v in np.asarray(draws, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
 def save_draws_csv(draws: np.ndarray, path: str | Path) -> None:
     """Write draws as a single-column CSV with header ``draw``."""
-    arr = np.asarray(draws, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("draw\n")
-        for v in arr:
-            fh.write(f"{float(v):.17g}\n")
+        fh.write(_draws_csv_text(draws))

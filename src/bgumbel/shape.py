@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 
 from .distribution import BgParams, bg_pdf, bg_sf
 from .errors import RegimeError, RootIsolationError
-from .special import DEFAULT_QUADRATURE, QuadratureSpec
 
 __all__ = [
     "ConditionCReport",
@@ -214,16 +213,12 @@ def tail_rate(p: BgParams) -> float:
     return 1.0 / p.sigma
 
 
-def hazard(
-    p: BgParams,
-    x: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> HazardPoint:
+def hazard(p: BgParams, x: float) -> HazardPoint:
     """Survival S(x) = 1 - F(x) and hazard rate f(x) / S(x).
 
     The survival comes from :func:`~bgumbel.distribution.bg_sf`, accurate in
     relative terms in the far right tail.  Only where it underflows to 0 is
-    the hazard reported at its tail limit 1/sigma.  ``spec`` is unused.
+    the hazard reported at its tail limit 1/sigma.
     """
     surv = bg_sf(p, x)
     if surv == 0.0:

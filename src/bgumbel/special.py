@@ -13,7 +13,8 @@ the standard Gumbel density,
 which removes the logarithmic endpoint singularity at v = 0 and maps the
 exponential tail onto a doubly-exponential one.  The adaptive quadrature of
 :func:`incomplete_log_moment` runs on that transformed domain.  The
-distribution functions use the vectorized :func:`log_weight_shares` instead.
+distribution functions use the vectorized :func:`log_weight_shares` instead,
+and every complete moment the private :func:`_log_poly_gamma`.
 """
 from __future__ import annotations
 
@@ -79,6 +80,8 @@ _LOG_MOMENT_CONSTANTS = (
     + 9.0 * _EG**2 * _PI**4 / 4.0
     + 61.0 * _PI**6 / 168.0,
 )
+# Gamma^(j)(1) = (-1)^j I(j; 0, inf).
+_GAMMA_DERIVS_AT_1 = tuple((-1.0) ** j * c for j, c in enumerate(_LOG_MOMENT_CONSTANTS))
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,7 @@ def log_weight_shares(
     Returns two arrays of the shape of ``z`` (0-d for a scalar).
     """
     q = tuple(float(c) for c in q)
-    total = q[0] - q[1] * _EG + q[2] * _LOG_MOMENT_CONSTANTS[2]
+    total = _log_poly_gamma(q)
     zs = np.minimum(np.asarray(z, dtype=float), _Z_MAX)
     flat = zs.ravel()
     far = flat >= _SPLIT
@@ -307,17 +310,37 @@ def gamma_deriv(i: int, x: float) -> float:
         raise ValueError(f"gamma_deriv requires x > 0, got {x}")
     if not 0 <= i <= 4:
         raise ValueError(f"gamma derivatives implemented for order 0..4, got {i}")
+    return _gamma_derivs(i, x)[i]
+
+
+def _gamma_derivs(n: int, x: float) -> tuple[float, ...]:
+    """Gamma^(i)(x) for i = 0..min(n, 4), by the polygamma forms of gamma_deriv."""
     gam = float(sc.gamma(x))
-    if i == 0:
-        return gam
+    if n == 0:
+        return (gam,)
     psi = float(sc.digamma(x))
-    if i == 1:
-        return gam * psi
-    p1 = float(sc.polygamma(1, x))
-    if i == 2:
-        return gam * (psi**2 + p1)
-    p2 = float(sc.polygamma(2, x))
-    if i == 3:
-        return gam * (psi**3 + 3.0 * psi * p1 + p2)
-    p3 = float(sc.polygamma(3, x))
-    return gam * (psi**4 + 6.0 * psi**2 * p1 + 3.0 * p1**2 + 4.0 * psi * p2 + p3)
+    p1 = float(sc.polygamma(1, x)) if n >= 2 else 0.0
+    p2 = float(sc.polygamma(2, x)) if n >= 3 else 0.0
+    p3 = float(sc.polygamma(3, x)) if n >= 4 else 0.0
+    return (
+        gam,
+        gam * psi,
+        gam * (psi**2 + p1),
+        gam * (psi**3 + 3.0 * psi * p1 + p2),
+        gam * (psi**4 + 6.0 * psi**2 * p1 + 3.0 * p1**2 + 4.0 * psi * p2 + p3),
+    )[: n + 1]
+
+
+def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
+    """int_0^inf q(ln v) v^(a-1) e^-v dv = sum_j q_j Gamma^(j)(a), for a > 0.
+
+    ``q`` holds the coefficients of 1, ln v, ln^2 v, ...  At a = 1 the
+    derivatives are the exact constants (-1)^j I(j; 0, inf), j = 0..6; at
+    any other a they come from the polygamma forms, j = 0..4.  With
+    X = mu - sigma ln V, every moment, exponential moment and Fisher
+    expectation of the package is this sum for some q and a.
+    """
+    derivs = _GAMMA_DERIVS_AT_1 if a == 1.0 else _gamma_derivs(len(q) - 1, a)
+    if len(q) > len(derivs):
+        raise ValueError(f"log-polynomial degree {len(q) - 1} exceeds {len(derivs) - 1} at a = {a}")
+    return sum(c * g for c, g in zip(q, derivs))

@@ -118,6 +118,16 @@ class TestSample:
         assert draws.mean() == pytest.approx(-1.0640, abs=0.06)
         assert draws.var(ddof=1) == pytest.approx(5.0126, abs=0.35)
 
+    def test_output_matches_save_draws_csv(self, tmp_path):
+        from bgumbel import BgParams, representation_sample, save_draws_csv
+
+        out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
+        assert run(["sample", "--mu", "-2", "--sigma", "1", "--delta", "1",
+                    "--n", "300", "--seed", "9", "--method", "representation",
+                    "-o", str(out)]) == EXIT_OK
+        save_draws_csv(representation_sample(BgParams(-2, 1, 1), 300, 9), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BGUMBEL_SEED", "77")
         out = tmp_path / "env.csv"

@@ -292,10 +292,22 @@ class TestMoments:
                 ) / z
                 assert bg_moment(p, k) == pytest.approx(decomposed, rel=1e-10, abs=1e-10)
 
-    def test_gumbel_skewness_constant(self):
-        ms = bg_moment_set(BgParams(0, 1, 0))
+    @pytest.mark.parametrize("mu", [0.0, 1e3, 1e5, -1e5])
+    def test_gumbel_skewness_constant(self, mu):
+        ms = bg_moment_set(BgParams(mu, 1, 0))
         assert ms.skewness == pytest.approx(1.1395470994046487, abs=1e-5)
         assert ms.kurtosis == pytest.approx(27.0 / 5.0, abs=1e-5)
+
+    def test_central_moments_far_from_origin_match_quadrature(self):
+        # Central moments about a mean of ~1000 must not come from raw moments.
+        from helpers import quad_expectation
+
+        p = BgParams(1000.0, 1.0, 0.001)
+        mean = quad_expectation(p, lambda t: t)
+        var, mu3, mu4 = (quad_expectation(p, lambda t, n=n: (t - mean) ** n) for n in (2, 3, 4))
+        ms = bg_moment_set(p)
+        assert ms.skewness == pytest.approx(mu3 / var**1.5, rel=1e-8)
+        assert ms.kurtosis == pytest.approx(mu4 / var**2, rel=1e-8)
 
     def test_moments_match_quadrature(self):
         from helpers import quad_expectation

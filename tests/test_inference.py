@@ -131,9 +131,9 @@ class TestFisherInformation:
         info = fisher_information(BgParams(-1, 2, -1))
         assert np.array_equal(info, info.T)
 
-    def test_gumbel_closed_form_block(self):
+    @pytest.mark.parametrize("mu,sg", [(0.4, 1.7), (800.0, 1.0), (-800.0, 1.0)])
+    def test_gumbel_closed_form_block(self, mu, sg):
         # At delta = 0 every entry reduces to a known closed form.
-        mu, sg = 0.4, 1.7
         info = fisher_information(BgParams(mu, sg, 0.0))
         m = mu + sg * EG
         expect = np.array(
