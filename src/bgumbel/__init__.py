@@ -37,7 +37,9 @@ from .errors import (
     RootIsolationError,
 )
 from .inference import (
+    FitDiagnostics,
     FitResult,
+    LocalMaximum,
     fisher_information,
     fit_gumbel_mle,
     fit_mle,
@@ -97,7 +99,7 @@ __all__ = [
     "__version__",
     # parameters and reports
     "BgParams", "GumbelParams", "MomentSet", "ShapeReport", "HazardPoint",
-    "ConditionCReport", "FitResult", "McmcConfig", "Chain", "ChainSummary",
+    "ConditionCReport", "FitResult", "FitDiagnostics", "LocalMaximum", "McmcConfig", "Chain", "ChainSummary",
     "BlockMaximaConfig", "GofReport", "ModelComparison", "DescriptiveStats",
     "Constants", "QuadratureSpec", "CONSTANTS", "DEFAULT_QUADRATURE",
     # distribution

@@ -7,20 +7,24 @@ The log likelihood of observations x_1..x_n is
 
 with Z the weight normalizer.  Score, Hessian and Fisher information are
 implemented analytically; every derivative here is validated against finite
-differences in the test suite.  The optimizer is quasi-Newton (BFGS with the
-analytic gradient) in the reparametrized space (mu, ln sigma, delta), run
-from a lattice of delta starting points because the likelihood can hold
-several local optima in the delta direction, followed by a guarded Newton
-polish in the original parametrization.
+differences in the test suite.
+
+delta enters l only through sum_i ln[(1 - delta x_i)^2 + 1], which holds no
+(mu, sigma), and through the closed-form -n ln Z.  So the fit is a
+profile-likelihood search: the profile l_p(delta) = max over (mu, sigma) of
+l is computed on a grid of delta by a 2x2 Newton in (mu, ln sigma), one exp
+pass and three sums a step, and each local maximum of the grid (the
+likelihood can hold several in delta) is polished by a guarded 3-D Newton in
+the original parametrization.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
 
 from .distribution import BgParams, _expect, normalizer
 from .errors import DegenerateDataError, InsufficientDataError
@@ -28,6 +32,8 @@ from .special import CONSTANTS
 
 __all__ = [
     "FitResult",
+    "FitDiagnostics",
+    "LocalMaximum",
     "log_likelihood",
     "score",
     "hessian",
@@ -39,11 +45,50 @@ __all__ = [
 _EG = CONSTANTS.euler_gamma
 _PI = CONSTANTS.pi
 
-_DELTA_START_MULTIPLIERS = (0.1, 0.25, 0.63, 1.6, 4.0, 10.0)
 _CONVERGENCE_FACTOR = 1e-6
+# Maxima whose log likelihoods differ by at most this much per observation tie.
 _TIE_TOL = 1e-8
+# delta grid of 2 * _GRID_HALF + 1 points (see _delta_grid).
+_GRID_HALF, _GRID_REACH, _GRID_KNEE = 40, 10.0, 0.1
+# 2x2 Newton: step halvings before giving up, the |ln sigma| it may reach, and
+# the fall in its objective per observation taken as rounding: near the
+# optimum a step gains less than the rounding of terms such as sum w.
+_LINE_SEARCH_HALVINGS, _MAX_LOG_SIGMA, _ROUNDING = 20, 300.0, 1e-12
+# Two maxima closer than chi2_1(0.95) / 2 in log likelihood leave delta weakly identified.
+_WEAK_GAP = 0.5 * 3.841458820694124
 # Adaptive quadrature of the E[F4] term of fisher_information.
 _F4_ABS_TOL, _F4_REL_TOL, _F4_LIMIT = 1e-12, 1e-10, 200
+
+
+class LocalMaximum(NamedTuple):
+    """A polished local maximum of the likelihood.
+
+    ``at_grid_edge`` marks one whose polish started only from an end point
+    of the delta grid; such a run may stop far out in delta (within the
+    polish's step cap) where the profile flattens.
+    """
+
+    params: BgParams
+    log_likelihood: float
+    at_grid_edge: bool
+
+
+@dataclass(frozen=True)
+class FitDiagnostics:
+    """How ``fit_mle`` reached its estimate.
+
+    ``profile_loglik[k]`` is the profile log likelihood at ``delta_grid[k]``.
+    ``maxima`` holds every distinct polished local maximum, highest first.
+    ``inner_steps`` counts the 2x2 Newton steps of the profile.
+    ``weakly_identified`` is set when the top two maxima differ by less than
+    chi2_1(0.95) / 2 ~ 1.92 in log likelihood.
+    """
+
+    delta_grid: tuple[float, ...]
+    profile_loglik: tuple[float, ...]
+    maxima: tuple[LocalMaximum, ...]
+    inner_steps: int
+    weakly_identified: bool
 
 
 @dataclass(frozen=True)
@@ -52,7 +97,7 @@ class FitResult:
 
     ``std_errors`` is the square root of the diagonal of the inverse observed
     information (negative Hessian at the optimum), or None when that matrix
-    is not positive definite.
+    is not positive definite.  ``diagnostics`` is set by ``fit_mle`` only.
     """
 
     params: BgParams
@@ -62,6 +107,7 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm_at_solution: float
+    diagnostics: FitDiagnostics | None = None
 
 
 def _as_data(data) -> np.ndarray:
@@ -225,12 +271,102 @@ def _gumbel_moment_init(x: np.ndarray) -> tuple[float, float]:
     return mu0, sg0
 
 
-def _delta_starts(x: np.ndarray) -> list[float]:
+def _delta_grid(x: np.ndarray) -> np.ndarray:
+    """Sinh-spaced delta grid in +-_GRID_REACH / s, with 0 at its centre.
+
+    s is the robust scale of x (the standard deviation when over half the
+    data tie).  The profile has structure on the scale 1/s, where 1 - delta x
+    changes sign inside the data, and, for data far from the origin, on the
+    finer scale 1/|median|.  So the spacing is even for |delta| below
+    _GRID_KNEE / (|median| + s) and geometric beyond it.
+    """
     med = float(np.median(x))
-    s_rob = 1.4826 * float(np.median(np.abs(x - med)))
-    s_rob = max(s_rob, 1e-8 * max(1.0, abs(med)), 1e-12)
-    base = [m / s_rob for m in _DELTA_START_MULTIPLIERS]
-    return [0.0] + base + [-b for b in base]
+    s = 1.4826 * float(np.median(np.abs(x - med))) or float(x.std())
+    c = math.asinh(_GRID_REACH * (abs(med) + s) / (_GRID_KNEE * s))
+    u = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_HALF
+    return (_GRID_REACH / s) * np.sinh(c * u) / math.sinh(c)
+
+
+def _profile_terms(
+    x: np.ndarray, sx: float, delta: float, mu: float, t: float
+) -> tuple[float, float, float, float]:
+    """The (mu, ln sigma) part of l at fixed delta, with the sums its derivatives need.
+
+    Returns (-n ln Z - n t - sum w - sum e, sum e, sum w e, sum w^2 e) with
+    t = ln sigma, w = (x - mu)/sigma and e = exp(-w); sum w = (sx - n mu)/sigma.
+    The term sum ln(1 + (1 - delta x)^2) has no (mu, sigma) in it and is left out.
+    """
+    n = x.size
+    sg = math.exp(t)
+    w = (x - mu) / sg
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-w)
+        we = w * e
+        s0, s1, s2 = float(e.sum()), float(we.sum()), float(we @ w)
+    z = 1.0 + (delta * sg * _PI) ** 2 / 6.0 + (delta * (mu + sg * _EG) - 1.0) ** 2
+    return -n * math.log(z) - n * t - (sx - n * mu) / sg - s0, s0, s1, s2
+
+
+def _profile_newton(
+    x: np.ndarray, sx: float, delta: float, mu: float, t: float, max_steps: int, tol: float
+) -> tuple[float, float, float, int]:
+    """Maximise l over (mu, t = ln sigma) at fixed delta by damped Newton.
+
+    Each step takes the sums of one `_profile_terms` pass and the closed-form
+    derivatives of ln Z, and solves the 2x2 system in plain floats.  An
+    indefinite Hessian has its spectrum shifted below zero, and the step is
+    halved until the objective does not fall by more than rounding.  Stops
+    once the gradient per observation in (mu / sigma, t) is at most ``tol``
+    or a step gains nothing.  Returns (mu, t, the `_profile_terms` value
+    there, steps taken).
+    """
+    n = x.size
+    d2 = delta * delta
+    terms = _profile_terms(x, sx, delta, mu, t)
+    steps = 0
+    while steps < max_steps:
+        value, s0, s1, s2 = terms
+        sg = math.exp(t)
+        a = delta * (mu + sg * _EG) - 1.0
+        z = 1.0 + d2 * (sg * _PI) ** 2 / 6.0 + a * a
+        # Derivatives of ln Z in (mu, t), from those of Z over Z.
+        z_m = 2.0 * delta * a / z
+        z_t = sg * (d2 * sg * _PI**2 / 3.0 + 2.0 * delta * _EG * a) / z
+        z_mm = 2.0 * d2 / z - z_m * z_m
+        z_mt = 2.0 * d2 * _EG * sg / z - z_m * z_t
+        z_tt = z_t + d2 * sg * sg * (_PI**2 / 3.0 + 2.0 * _EG**2) / z - z_t * z_t
+        w_sum = (sx - n * mu) / sg
+        g_m = (n - s0) / sg - n * z_m
+        g_t = w_sum - s1 - n - n * z_t
+        if not max(abs(g_m) * sg, abs(g_t)) > tol * n:  # also stops on nan
+            break
+        h_mm = -n * z_mm - s0 / (sg * sg)
+        h_mt = -n * z_mt + (s0 - s1 - n) / sg
+        h_tt = -n * z_tt - w_sum - s2 + s1
+        det = h_mm * h_tt - h_mt * h_mt
+        if not (h_mm < 0.0 and det > 0.0):
+            half_tr = 0.5 * (h_mm + h_tt)
+            top = half_tr + math.sqrt(max(half_tr * half_tr - det, 0.0))
+            shift = top + 1e-3 * (abs(h_mm) + abs(h_tt)) + 1e-12 * n
+            h_mm, h_tt = h_mm - shift, h_tt - shift
+            det = h_mm * h_tt - h_mt * h_mt
+        d_m = (h_mt * g_t - h_tt * g_m) / det
+        d_t = (h_mt * g_m - h_mm * g_t) / det
+        lam = 1.0
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            mu_c, t_c = mu + lam * d_m, t + lam * d_t
+            if abs(t_c) <= _MAX_LOG_SIGMA:
+                cand = _profile_terms(x, sx, delta, mu_c, t_c)
+                if cand[0] >= value - _ROUNDING * n:
+                    break
+            lam *= 0.5
+        else:
+            break
+        mu, t, terms = mu_c, t_c, cand
+        steps += 1
+        if cand[0] <= value:  # no gain left above rounding
+            break
+    return mu, t, terms[0], steps
 
 
 def _newton_polish(
@@ -264,70 +400,6 @@ def _newton_polish(
         th = th + lam * step
         steps += 1
     return th, steps
-
-
-def _optimize(
-    x: np.ndarray,
-    delta_starts: list[float],
-    mu0: float,
-    sg0: float,
-    fix_delta: bool,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, int]:
-    n = x.size
-
-    def _sigma_of(t: np.ndarray) -> float:
-        # Clamp so a wandering line search cannot overflow exp or reach 0.
-        return math.exp(min(max(float(t[1]), -300.0), 300.0))
-
-    def nll(t: np.ndarray) -> float:
-        try:
-            val = log_likelihood(BgParams(t[0], _sigma_of(t), t[2]), x)
-        except (ValueError, OverflowError):
-            return 1e300
-        return -val / n if math.isfinite(val) else 1e300
-
-    def grad(t: np.ndarray) -> np.ndarray:
-        sg = _sigma_of(t)
-        sc = score(BgParams(t[0], sg, t[2]), x)
-        g = -np.array([sc[0], sc[1] * sg, 0.0 if fix_delta else sc[2]]) / n
-        return np.nan_to_num(g, nan=0.0, posinf=1e10, neginf=-1e10)
-
-    best = None
-    best_iters = 0
-    for d0 in delta_starts:
-        t0 = np.array([mu0, math.log(sg0), d0])
-        if fix_delta:
-            # Optimize (mu, ln sigma) only; delta stays at d0 (= 0).
-            def nll2(t2):
-                return nll(np.array([t2[0], t2[1], d0]))
-
-            def grad2(t2):
-                return grad(np.array([t2[0], t2[1], d0]))[:2]
-
-            r = minimize(
-                nll2, t0[:2], jac=grad2, method="BFGS",
-                options={"maxiter": max_iter, "gtol": tol},
-            )
-            cand = np.array([r.x[0], r.x[1], d0])
-        else:
-            r = minimize(
-                nll, t0, jac=grad, method="BFGS",
-                options={"maxiter": max_iter, "gtol": tol},
-            )
-            cand = r.x
-        entry = (float(r.fun), abs(float(cand[2])), cand, int(r.nit))
-        if best is None:
-            best, best_iters = entry, entry[3]
-            continue
-        # Keep the higher likelihood; break near-ties toward smaller |delta|.
-        if entry[0] < best[0] - _TIE_TOL or (
-            abs(entry[0] - best[0]) <= _TIE_TOL and entry[1] < best[1]
-        ):
-            best, best_iters = entry, entry[3]
-    th = np.array([best[2][0], math.exp(best[2][1]), best[2][2]])
-    return th, best_iters
 
 
 def _finish(th: np.ndarray, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
@@ -369,6 +441,15 @@ def _finish(th: np.ndarray, x: np.ndarray, iters: int, fix_delta: bool) -> FitRe
     )
 
 
+def _fit_data(data) -> np.ndarray:
+    x = _as_data(data)
+    if x.size < 4:
+        raise InsufficientDataError(f"need at least 4 observations, got {x.size}")
+    if float(x.max()) == float(x.min()):
+        raise DegenerateDataError("all observations identical; scale is not estimable")
+    return x
+
+
 def fit_mle(
     data,
     init: BgParams | None = None,
@@ -377,24 +458,89 @@ def fit_mle(
 ) -> FitResult:
     """Maximum-likelihood fit of the full three-parameter model.
 
-    Multistart quasi-Newton over a lattice of delta starting values (the
-    likelihood can be multimodal in delta), then a Newton polish.  A result
-    with ``converged=False`` is still returned so callers can inspect the
-    partial fit.
+    A profile-likelihood search in delta, which can hold several local
+    maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
+    profile l_p(delta) = max over (mu, sigma) of l is computed by a 2x2
+    Newton in (mu, ln sigma), walking out from delta = 0 both ways and
+    warm-starting each point from its neighbour; ``init``, when given, is one
+    more start at its own delta.  Every local maximum of the grid is polished
+    by a 3-D Newton in (mu, sigma, delta), and the highest is returned, near
+    ties (within 1e-8 per observation) going to the smaller |delta|.
+    ``max_iter`` caps the Newton steps of each 2x2 solve and ``tol`` is its
+    gradient tolerance per observation.  The profile and all maxima are in
+    ``diagnostics``.  A result with ``converged=False`` is still returned so
+    callers can inspect the partial fit.
     """
-    x = _as_data(data)
-    if x.size < 4:
-        raise InsufficientDataError(f"need at least 4 observations, got {x.size}")
-    if float(x.max()) == float(x.min()):
-        raise DegenerateDataError("all observations identical; scale is not estimable")
+    x = _fit_data(data)
+    sx = float(x.sum())
+    grid = _delta_grid(x)
+    mid = grid.size // 2
+    sol = np.empty((grid.size, 2))
+    profile = np.empty(grid.size)
+
+    def solve(k: int, mu: float, t: float) -> int:
+        mu, t, value, steps = _profile_newton(x, sx, float(grid[k]), mu, t, max_iter, tol)
+        sol[k] = mu, t
+        u = 1.0 - grid[k] * x
+        profile[k] = value + float(np.log1p(u * u).sum())
+        return steps
+
     mu0, sg0 = _gumbel_moment_init(x)
-    starts = _delta_starts(x)
+    inner = solve(mid, mu0, math.log(sg0))
+    for k in range(mid + 1, grid.size):
+        inner += solve(k, *sol[k - 1])
+    for k in range(mid - 1, -1, -1):
+        inner += solve(k, *sol[k + 1])
+
+    last = grid.size - 1
+    peaks = [
+        k for k in range(grid.size)
+        if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
+    ] or [mid]
+    starts = [(sol[k, 0], math.exp(sol[k, 1]), grid[k], k in (0, last)) for k in peaks]
     if init is not None:
-        starts = [init.delta] + starts
-        mu0, sg0 = init.mu, init.sigma
-    th, iters = _optimize(x, starts, mu0, sg0, False, max_iter, tol)
-    th, extra = _newton_polish(th, x)
-    return _finish(th, x, iters + extra, fix_delta=False)
+        mu, t, _, steps = _profile_newton(
+            x, sx, init.delta, init.mu, math.log(init.sigma), max_iter, tol
+        )
+        inner += steps
+        starts.append((mu, math.exp(t), init.delta, False))
+
+    total = inner
+    maxima: list[LocalMaximum] = []
+    for mu, sg, dl, edge in starts:
+        th, steps = _newton_polish(np.array([mu, sg, dl]), x)
+        total += steps
+        p = BgParams(*th)
+        for i, m in enumerate(maxima):
+            if _same_point(m.params, p):
+                maxima[i] = m._replace(at_grid_edge=m.at_grid_edge and edge)
+                break
+        else:
+            maxima.append(LocalMaximum(p, log_likelihood(p, x), edge))
+    maxima.sort(key=lambda m: -m.log_likelihood)
+
+    top = maxima[0].log_likelihood
+    best = min(
+        (m for m in maxima if m.log_likelihood >= top - _TIE_TOL * x.size),
+        key=lambda m: abs(m.params.delta),
+    )
+    diagnostics = FitDiagnostics(
+        delta_grid=tuple(grid.tolist()),
+        profile_loglik=tuple(profile.tolist()),
+        maxima=tuple(maxima),
+        inner_steps=inner,
+        weakly_identified=len(maxima) > 1 and top - maxima[1].log_likelihood < _WEAK_GAP,
+    )
+    p = best.params
+    fit = _finish(np.array([p.mu, p.sigma, p.delta]), x, total, fix_delta=False)
+    return replace(fit, diagnostics=diagnostics)
+
+
+def _same_point(a: BgParams, b: BgParams) -> bool:
+    return all(
+        abs(u - v) <= 1e-6 * max(abs(u), abs(v)) + 1e-12
+        for u, v in ((a.mu, b.mu), (a.sigma, b.sigma), (a.delta, b.delta))
+    )
 
 
 def fit_gumbel_mle(
@@ -403,14 +549,14 @@ def fit_gumbel_mle(
     max_iter: int = 500,
     tol: float = 1e-9,
 ) -> FitResult:
-    """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0)."""
-    x = _as_data(data)
-    if x.size < 4:
-        raise InsufficientDataError(f"need at least 4 observations, got {x.size}")
-    if float(x.max()) == float(x.min()):
-        raise DegenerateDataError("all observations identical; scale is not estimable")
+    """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
+
+    The 2x2 Newton of ``fit_mle``'s profile at delta = 0, from the moment
+    estimates or from ``init``; ``max_iter`` and ``tol`` are as there.
+    """
+    x = _fit_data(data)
     mu0, sg0 = _gumbel_moment_init(x)
     if init is not None:
         mu0, sg0 = init.mu, init.sigma
-    th, iters = _optimize(x, [0.0], mu0, sg0, True, max_iter, tol)
-    return _finish(th, x, iters, fix_delta=True)
+    mu, t, _, steps = _profile_newton(x, float(x.sum()), 0.0, mu0, math.log(sg0), max_iter, tol)
+    return _finish(np.array([mu, math.exp(t), 0.0]), x, steps, fix_delta=True)

@@ -6,9 +6,11 @@ import pytest
 from bgumbel import (
     CONSTANTS,
     BgParams,
+    BlockMaximaConfig,
     DegenerateDataError,
     InsufficientDataError,
     bg_log_pdf,
+    block_maxima,
     fisher_information,
     fit_gumbel_mle,
     fit_mle,
@@ -225,6 +227,85 @@ class TestFitMle:
         x = sampler(rng, 2000)
         fit = fit_mle(x, init=BgParams(1.0, 1.0, 2.0))
         assert fit.converged
+
+
+    @pytest.mark.parametrize(
+        "fixture,maxima,weak",
+        [
+            ("bimodal500", [(997.99, 1.89), (1013.02, 0.06), (1013.50, -2.27)], False),
+            ("maxima29", [(88.12, -0.303), (89.42, 0.017)], True),
+        ],
+        ids=["bimodal500", "maxima29"],
+    )
+    def test_fixture_local_maxima(self, request, fixture, maxima, weak):
+        fit = fit_mle(request.getfixturevalue(fixture))
+        diag = fit.diagnostics
+        found = [(-m.log_likelihood, m.params.delta) for m in diag.maxima]
+        assert len(found) == len(maxima)
+        for (nll, dl), (nll_ref, dl_ref) in zip(found, maxima):
+            assert nll == pytest.approx(nll_ref, abs=0.005)
+            assert dl == pytest.approx(dl_ref, abs=0.005)
+        assert fit.params == diag.maxima[0].params
+        assert fit.log_likelihood == diag.maxima[0].log_likelihood
+        assert not any(m.at_grid_edge for m in diag.maxima)
+        assert diag.weakly_identified is weak
+
+    def test_profile_grid_and_gumbel_centre(self, maxima29):
+        diag = fit_mle(maxima29).diagnostics
+        grid = np.array(diag.delta_grid)
+        assert grid.size == 81 and grid[40] == 0.0
+        assert np.all(np.diff(grid) > 0)
+        np.testing.assert_array_equal(grid, -grid[::-1])
+        assert diag.profile_loglik[40] == pytest.approx(
+            fit_gumbel_mle(maxima29).log_likelihood, rel=1e-12
+        )
+        assert diag.inner_steps > 0
+
+    @pytest.mark.parametrize("blocks", [None, 60])
+    def test_grid_edge_maximum_stays_finite(self, series1774, blocks):
+        # The profile flattens for |delta| >> 1 / |x|, so polishing from an
+        # end of the grid drifts far out in delta; it must stop finite and
+        # lose to the interior maximum.
+        x = series1774
+        if blocks:
+            x = block_maxima(x, BlockMaximaConfig(blocks))
+            x = x - x.mean()
+        fit = fit_mle(x)
+        maxima = fit.diagnostics.maxima
+        edge = [m for m in maxima if m.at_grid_edge]
+        assert edge
+        for m in maxima:
+            assert all(math.isfinite(v) for v in (m.params.mu, m.params.sigma, m.params.delta))
+            assert math.isfinite(m.log_likelihood)
+        assert not maxima[0].at_grid_edge
+        assert fit.log_likelihood > max(m.log_likelihood for m in edge)
+
+    def test_data_far_from_origin(self):
+        # The maximum sits at delta ~ -3.4 / |median|, far inside the 1 / s
+        # scale of the grid's reach; the grid must resolve it.
+        x = np.random.default_rng(22).gumbel(-1e4, 3.0, 300)
+        fit = fit_mle(x)
+        assert fit.converged
+        assert fit.params.delta == pytest.approx(-3.42e-4, rel=0.01)
+
+    def test_mostly_tied_data(self):
+        # The median absolute deviation is 0, so the grid's reach comes
+        # from the standard deviation.
+        x = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
+        fit = fit_mle(x)
+        assert fit.converged
+        assert fit.diagnostics.delta_grid[-1] == pytest.approx(10.0 / x.std(), rel=1e-12)
+
+    def test_not_below_generating_parameters(self):
+        # A dataset on which the earlier 13-start BFGS lattice in delta
+        # stopped 12.9 log-likelihood units below the generating parameters.
+        p = BgParams(2.89, 2.41, 0.417)
+        x = _inverse_sampler(p)(np.random.default_rng(55), 624)
+        truth = log_likelihood(p, x)
+        assert fit_mle(x).log_likelihood >= truth - 1e-9 * abs(truth)
+
+    def test_gumbel_fit_has_no_diagnostics(self, maxima29):
+        assert fit_gumbel_mle(maxima29).diagnostics is None
 
 
 class TestFitGumbel:
