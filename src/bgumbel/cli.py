@@ -144,7 +144,7 @@ def _cmd_eval(args) -> int:
             raise UsageError("--what pdf/cdf/hazard requires --grid or --at")
         xs = _parse_grid(args.grid_spec) if args.grid_spec else np.array([args.at])
         if args.what == "pdf":
-            rows = [[float(x), float(bg_pdf(p, float(x)))] for x in xs]
+            rows = [[float(x), float(f)] for x, f in zip(xs, bg_pdf(p, xs))]
             header = ["x", "pdf"]
         elif args.what == "cdf":
             rows = [[float(x), float(f)] for x, f in zip(xs, bg_cdf(p, xs))]

@@ -2,31 +2,34 @@
 
 The log likelihood of observations x_1..x_n is
 
-    l = -n ln Z - n ln sigma
-        + sum_i { ln[(1 - delta x_i)^2 + 1] - w_i - exp(-w_i) },   w_i = (x_i - mu)/sigma,
+    l = B(delta) - n ln Z(mu, sigma, delta) + G(mu, sigma),
+    B = sum_i ln[(1 - delta x_i)^2 + 1],   G = -n ln sigma - sum_i { w_i + exp(-w_i) },
 
-with Z the weight normalizer.  Score, Hessian and Fisher information are
-implemented analytically; every derivative here is validated against finite
-differences in the test suite.
+with w_i = (x_i - mu)/sigma and Z the closed-form weight normalizer.  One
+kernel (`_terms`) gives l with its gradient and Hessian in
+(mu, ln sigma, delta) from one pass for G, one for B and the closed-form
+derivatives of ln Z; `log_likelihood`, `score`, `hessian` and the ln Z block
+of `fisher_information` are thin wrappers over it, and every derivative is
+validated against finite differences in the test suite.
 
-delta enters l only through sum_i ln[(1 - delta x_i)^2 + 1], which holds no
-(mu, sigma), and through the closed-form -n ln Z.  So the fit is a
-profile-likelihood search: the profile l_p(delta) = max over (mu, sigma) of
-l is computed on a grid of delta by a 2x2 Newton in (mu, ln sigma), one exp
-pass and three sums a step, and each local maximum of the grid (the
-likelihood can hold several in delta) is polished by a guarded 3-D Newton in
-the original parametrization.
+delta enters l only through B, which holds no (mu, sigma), and through ln Z.
+So the fit is a profile-likelihood search: the profile
+l_p(delta) = max over (mu, sigma) of l is computed on a grid of delta, and
+each local maximum of the grid (the likelihood can hold several in delta) is
+polished in all three parameters.  Both use one damped Newton (`_newton`),
+2x2 with delta and B held fixed, 3x3 otherwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
-from .distribution import BgParams, _expect, normalizer
+from .distribution import BgParams, _expect
 from .errors import DegenerateDataError, InsufficientDataError
 from .special import CONSTANTS
 
@@ -50,10 +53,13 @@ _CONVERGENCE_FACTOR = 1e-6
 _TIE_TOL = 1e-8
 # delta grid of 2 * _GRID_HALF + 1 points (see _delta_grid).
 _GRID_HALF, _GRID_REACH, _GRID_KNEE = 40, 10.0, 0.1
-# 2x2 Newton: step halvings before giving up, the |ln sigma| it may reach, and
-# the fall in its objective per observation taken as rounding: near the
-# optimum a step gains less than the rounding of terms such as sum w.
+# Newton: step halvings before giving up, the |ln sigma| it may reach, and
+# the fall in l per observation taken as rounding: near the optimum a step
+# gains less than the rounding of terms such as sum w.
 _LINE_SEARCH_HALVINGS, _MAX_LOG_SIGMA, _ROUNDING = 20, 300.0, 1e-12
+# Newton steps of the 3-D polish of each maximum; from a grid end the polish
+# can drift out in delta, where the profile flattens.
+_POLISH_STEPS = 40
 # Two maxima closer than chi2_1(0.95) / 2 in log likelihood leave delta weakly identified.
 _WEAK_GAP = 0.5 * 3.841458820694124
 # Adaptive quadrature of the E[F4] term of fisher_information.
@@ -119,93 +125,106 @@ def _as_data(data) -> np.ndarray:
     return x
 
 
-def _z_first_derivs(p: BgParams) -> tuple[float, float, float]:
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    a = dl * (mu + sg * _EG) - 1.0
-    z_mu = 2.0 * dl * a
-    z_sg = dl**2 * sg * _PI**2 / 3.0 + 2.0 * dl * _EG * a
-    z_dl = dl * sg**2 * _PI**2 / 3.0 + 2.0 * (mu + sg * _EG) * a
-    return z_mu, z_sg, z_dl
+def _log_z(mu: float, sg: float, dl: float) -> tuple[float, tuple, tuple]:
+    """ln Z with its gradient and Hessian in (mu, t = ln sigma, delta).
 
-
-def _z_second_derivs(p: BgParams) -> dict[tuple[int, int], float]:
-    mu, sg, dl = p.mu, p.sigma, p.delta
+    Z = 1 + (delta sigma pi)^2 / 6 + a^2 with a = delta m - 1 and
+    m = mu + sigma gamma; the derivatives of ln Z are those of Z over Z.
+    """
+    c = _PI**2 / 3.0
     m = mu + sg * _EG
-    return {
-        (0, 0): 2.0 * dl**2,
-        (1, 1): dl**2 * _PI**2 / 3.0 + 2.0 * dl**2 * _EG**2,
-        (2, 2): sg**2 * _PI**2 / 3.0 + 2.0 * m * m,
-        (0, 1): 2.0 * dl**2 * _EG,
-        (0, 2): 4.0 * dl * m - 2.0,
-        (1, 2): 2.0 * dl * sg * _PI**2 / 3.0 + 4.0 * dl * _EG * m - 2.0 * _EG,
-    }
+    a = dl * m - 1.0
+    d2 = dl * dl
+    z = 1.0 + 0.5 * c * (dl * sg) ** 2 + a * a
+    z_t = sg * (d2 * sg * c + 2.0 * dl * _EG * a)
+    g0, g1, g2 = 2.0 * dl * a / z, z_t / z, (dl * sg * sg * c + 2.0 * m * a) / z
+    h01 = 2.0 * d2 * _EG * sg / z - g0 * g1
+    h02 = (4.0 * dl * m - 2.0) / z - g0 * g2
+    h12 = sg * (2.0 * dl * sg * c + 4.0 * dl * _EG * m - 2.0 * _EG) / z - g1 * g2
+    return math.log(z), (g0, g1, g2), (
+        (2.0 * d2 / z - g0 * g0, h01, h02),
+        (h01, (z_t + d2 * sg * sg * (c + 2.0 * _EG**2)) / z - g1 * g1, h12),
+        (h02, h12, (sg * sg * c + 2.0 * m * m) / z - g2 * g2),
+    )
 
 
-def _d_matrix(p: BgParams, n: float) -> np.ndarray:
-    """D_{u,v} = (n/Z) (d2Z/dudv - (dZ/du)(dZ/dv)/Z) for u, v in (mu, sigma, delta)."""
-    z = normalizer(p)
-    z1 = _z_first_derivs(p)
-    z2 = _z_second_derivs(p)
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            out[i, j] = out[j, i] = n / z * (z2[(i, j)] - z1[i] * z1[j] / z)
-    return out
+def _to_sigma(g, h, sg: float) -> tuple[np.ndarray, np.ndarray]:
+    """A gradient and Hessian in (mu, t = ln sigma, delta), taken to (mu, sigma, delta)."""
+    j = np.array([1.0, 1.0 / sg, 1.0])
+    grad = np.array(g) * j
+    hess = np.array(h) * np.outer(j, j)
+    hess[1, 1] -= grad[1] / sg
+    return grad, hess
+
+
+def _z_first_derivs(p: BgParams) -> tuple[float, float, float]:
+    """dZ/dmu, dZ/dsigma, dZ/ddelta."""
+    lz, g, h = _log_z(p.mu, p.sigma, p.delta)
+    return tuple(math.exp(lz) * _to_sigma(g, h, p.sigma)[0])
+
+
+def _b_terms(x: np.ndarray, dl: float, derivs: bool = True) -> tuple[float, float, float]:
+    """B = sum ln(1 + u^2) with u = 1 - delta x, and its first two delta derivatives.
+
+    With ``derivs`` False, for a fixed delta, the derivatives are nan.
+    """
+    u = 1.0 - dl * x
+    uu = u * u
+    bv = float(np.log1p(uu).sum())
+    if not derivs:
+        return bv, math.nan, math.nan
+    q = 1.0 / (1.0 + uu)
+    return bv, -2.0 * float(x @ (u * q)), 2.0 * float((x * x) @ ((1.0 - uu) * q * q))
+
+
+def _terms(
+    x: np.ndarray, mu: float, sg: float, dl: float, b: tuple[float, float, float] | None = None
+) -> tuple[float, tuple, tuple]:
+    """l at (mu, sigma, delta), with its gradient and Hessian in (mu, t = ln sigma, delta).
+
+    l = B(delta) - n ln Z(mu, sigma, delta) + G(mu, sigma), with B from
+    `_b_terms` (or ``b``, when the caller holds it for a fixed delta), ln Z
+    from `_log_z` and G = -n t - sum w - sum e, w = (x - mu)/sigma and
+    e = exp(-w): one exp pass and the sums of w, e, w e and w^2 e.  sum w is
+    added up term by term; (sum x - n mu)/sigma cancels far from the origin.
+    """
+    n = x.size
+    w = (x - mu) / sg
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-w)
+        we = w * e
+        s0, s1, s2 = float(e.sum()), float(we.sum()), float(we @ w)
+    sw = float(w.sum())
+    bv, b1, b2 = _b_terms(x, dl) if b is None else b
+    lz, (g0, g1, g2), ((h00, h01, h02), (_, h11, h12), (_, _, h22)) = _log_z(mu, sg, dl)
+    h_mt = (s0 - s1 - n) / sg - n * h01
+    h_md, h_td = -n * h02, -n * h12
+    return (
+        bv - n * lz - n * math.log(sg) - sw - s0,
+        ((n - s0) / sg - n * g0, sw - s1 - n - n * g1, b1 - n * g2),
+        (
+            (-s0 / (sg * sg) - n * h00, h_mt, h_md),
+            (h_mt, s1 - sw - s2 - n * h11, h_td),
+            (h_md, h_td, b2 - n * h22),
+        ),
+    )
 
 
 def log_likelihood(p: BgParams, data) -> float:
     """Log likelihood; identical to summing the log density over the data."""
-    x = _as_data(data)
-    n = x.size
-    w = (x - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        ew = np.exp(-w)
-    u = 1.0 - p.delta * x
-    return float(
-        -n * math.log(normalizer(p))
-        - n * math.log(p.sigma)
-        + np.sum(np.log1p(u * u) - w - ew)
-    )
+    return _terms(_as_data(data), p.mu, p.sigma, p.delta)[0]
 
 
 def score(p: BgParams, data) -> np.ndarray:
     """Analytic gradient of the log likelihood, ordered (mu, sigma, delta)."""
-    x = _as_data(data)
-    n = x.size
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    w = (x - mu) / sg
-    with np.errstate(over="ignore"):
-        ew = np.exp(-w)
-    z = normalizer(p)
-    z_mu, z_sg, z_dl = _z_first_derivs(p)
-    u = 1.0 - dl * x
-    return np.array(
-        [
-            -n * z_mu / z + n / sg - np.sum(ew) / sg,
-            -n * z_sg / z - n / sg + np.sum((x - mu) * (1.0 - ew)) / sg**2,
-            -n * z_dl / z - 2.0 * np.sum(x * u / (u * u + 1.0)),
-        ]
-    )
+    _, g, h = _terms(_as_data(data), p.mu, p.sigma, p.delta)
+    return _to_sigma(g, h, p.sigma)[0]
 
 
 def hessian(p: BgParams, data) -> np.ndarray:
     """Analytic Hessian of the log likelihood (symmetric 3x3)."""
-    x = _as_data(data)
-    n = x.size
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    w = (x - mu) / sg
-    with np.errstate(over="ignore"):
-        ew = np.exp(-w)
-    u = 1.0 - dl * x
-    d = _d_matrix(p, n)
-    h = np.empty((3, 3))
-    h[0, 0] = -d[0, 0] - np.sum(ew) / sg**2
-    h[0, 1] = h[1, 0] = -d[0, 1] - n / sg**2 + np.sum((1.0 - w) * ew) / sg**2
-    h[0, 2] = h[2, 0] = -d[0, 2]
-    h[1, 1] = -d[1, 1] + n / sg**2 - np.sum((x - mu) * (2.0 - (2.0 - w) * ew)) / sg**3
-    h[1, 2] = h[2, 1] = -d[1, 2]
-    h[2, 2] = -d[2, 2] - 2.0 * np.sum(x * x * (u * u - 1.0) / (u * u + 1.0) ** 2)
-    return h
+    _, g, h = _terms(_as_data(data), p.mu, p.sigma, p.delta)
+    return _to_sigma(g, h, p.sigma)[1]
 
 
 def fisher_information(p: BgParams) -> np.ndarray:
@@ -227,7 +246,8 @@ def fisher_information(p: BgParams) -> np.ndarray:
     ef2 = _expect(p, (1.0, 1.0), 2.0)
     ef3 = -2.0 * sg * _expect(p, (0.0, 1.0)) + sg * _expect(p, (0.0, 2.0, 1.0), 2.0)
 
-    log_norm = math.log(sg * normalizer(p))
+    lz, g, h = _log_z(mu, sg, dl)
+    log_norm = math.log(sg) + lz
 
     def f4_density(x: float) -> float:
         w = (x - mu) / sg
@@ -249,14 +269,9 @@ def fisher_information(p: BgParams) -> np.ndarray:
     )
     ef4 = res[0]
 
-    d = _d_matrix(p, 1.0)
-    info = np.empty((3, 3))
-    info[0, 0] = d[0, 0] + ef1 / sg**2
-    info[0, 1] = info[1, 0] = d[0, 1] + 1.0 / sg**2 - ef2 / sg**2
-    info[0, 2] = info[2, 0] = d[0, 2]
-    info[1, 1] = d[1, 1] - 1.0 / sg**2 + ef3 / sg**3
-    info[1, 2] = info[2, 1] = d[1, 2]
-    info[2, 2] = d[2, 2] + 2.0 * ef4
+    info = _to_sigma(g, h, sg)[1]  # the Hessian of ln Z
+    info[:2, :2] += np.array([[ef1, 1.0 - ef2], [1.0 - ef2, ef3 / sg - 1.0]]) / sg**2
+    info[2, 2] += 2.0 * ef4
     return info
 
 
@@ -287,136 +302,97 @@ def _delta_grid(x: np.ndarray) -> np.ndarray:
     return (_GRID_REACH / s) * np.sinh(c * u) / math.sinh(c)
 
 
-def _profile_terms(
-    x: np.ndarray, sx: float, delta: float, mu: float, t: float
-) -> tuple[float, float, float, float]:
-    """The (mu, ln sigma) part of l at fixed delta, with the sums its derivatives need.
+def _solve(h, g: list[float]) -> list[float] | None:
+    """The Newton ascent step: solve (a + E) y = g with a = -h, in plain floats.
 
-    Returns (-n ln Z - n t - sum w - sum e, sum e, sum w e, sum w^2 e) with
-    t = ln sigma, w = (x - mu)/sigma and e = exp(-w); sum w = (sx - n mu)/sigma.
-    The term sum ln(1 + (1 - delta x)^2) has no (mu, sigma) in it and is left out.
+    Uses the leading len(g) block of the symmetric h, by LDL^T
+    (square-root-free Cholesky).  Each pivot d is replaced by
+    max(|d|, 1e-12 a_ii), a diagonal E that is 0 when a is positive definite
+    and not near singular.  So y is still an ascent direction and, along a
+    stretch of negative curvature, steps about as far as a curvature of the
+    opposite sign would; and y does not depend on the units of the
+    parameters.  None when h holds nan.
+    """
+    low, d, y = [], [], []  # rows of unit-lower L, pivots, L^-1 g
+    for i, gi in enumerate(g):
+        row, li = h[i], []
+        for j in range(i):
+            s, lj = -row[j], low[j]
+            for m in range(j):
+                s -= li[m] * lj[m] * d[m]
+            li.append(s / d[j])
+        s, yi = -row[i], gi
+        for m in range(i):
+            s -= li[m] * li[m] * d[m]
+            yi -= li[m] * y[m]
+        d.append(max(abs(s), 1e-12 * abs(row[i])))
+        if not d[i] > 0.0:  # nan, or a zero diagonal
+            return None
+        low.append(li)
+        y.append(yi)
+    for i in reversed(range(len(y))):
+        y[i] /= d[i]
+        for m in range(i + 1, len(y)):
+            y[i] -= low[m][i] * y[m]
+    return y
+
+
+def _newton(
+    x: np.ndarray, mu: float, sg: float, dl: float, max_steps: int, tol: float,
+    b: tuple[float, float, float] | None = None,
+) -> tuple[float, float, float, tuple, int]:
+    """Maximise l by damped Newton in (mu, t = ln sigma, delta) from (mu, sigma, delta).
+
+    With ``b`` = `_b_terms`(x, delta, False) given, delta and B are held
+    fixed and the step is 2x2.  Each step takes one `_terms` call and one
+    `_solve`; the step is halved until l does not fall by more than
+    rounding.  Stops once the gradient per observation, its mu part times
+    sigma, is at most ``tol`` (with ``tol`` = 0, never), after a step that
+    gains, or whose quadratic model promises, no more than rounding, or
+    after ``max_steps``.
+    Returns (mu, sigma, delta), the `_terms` there and the steps taken.
     """
     n = x.size
-    sg = math.exp(t)
-    w = (x - mu) / sg
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-w)
-        we = w * e
-        s0, s1, s2 = float(e.sum()), float(we.sum()), float(we @ w)
-    z = 1.0 + (delta * sg * _PI) ** 2 / 6.0 + (delta * (mu + sg * _EG) - 1.0) ** 2
-    return -n * math.log(z) - n * t - (sx - n * mu) / sg - s0, s0, s1, s2
-
-
-def _profile_newton(
-    x: np.ndarray, sx: float, delta: float, mu: float, t: float, max_steps: int, tol: float
-) -> tuple[float, float, float, int]:
-    """Maximise l over (mu, t = ln sigma) at fixed delta by damped Newton.
-
-    Each step takes the sums of one `_profile_terms` pass and the closed-form
-    derivatives of ln Z, and solves the 2x2 system in plain floats.  An
-    indefinite Hessian has its spectrum shifted below zero, and the step is
-    halved until the objective does not fall by more than rounding.  Stops
-    once the gradient per observation in (mu / sigma, t) is at most ``tol``
-    or a step gains nothing.  Returns (mu, t, the `_profile_terms` value
-    there, steps taken).
-    """
-    n = x.size
-    d2 = delta * delta
-    terms = _profile_terms(x, sx, delta, mu, t)
+    k = 2 if b is not None else 3
+    terms = _terms(x, mu, sg, dl, b)
     steps = 0
     while steps < max_steps:
-        value, s0, s1, s2 = terms
-        sg = math.exp(t)
-        a = delta * (mu + sg * _EG) - 1.0
-        z = 1.0 + d2 * (sg * _PI) ** 2 / 6.0 + a * a
-        # Derivatives of ln Z in (mu, t), from those of Z over Z.
-        z_m = 2.0 * delta * a / z
-        z_t = sg * (d2 * sg * _PI**2 / 3.0 + 2.0 * delta * _EG * a) / z
-        z_mm = 2.0 * d2 / z - z_m * z_m
-        z_mt = 2.0 * d2 * _EG * sg / z - z_m * z_t
-        z_tt = z_t + d2 * sg * sg * (_PI**2 / 3.0 + 2.0 * _EG**2) / z - z_t * z_t
-        w_sum = (sx - n * mu) / sg
-        g_m = (n - s0) / sg - n * z_m
-        g_t = w_sum - s1 - n - n * z_t
-        if not max(abs(g_m) * sg, abs(g_t)) > tol * n:  # also stops on nan
+        value, g, h = terms
+        g = g[:k]
+        if not max(abs(g[0]) * sg, *map(abs, g[1:])) > tol * n:  # also stops on nan
             break
-        h_mm = -n * z_mm - s0 / (sg * sg)
-        h_mt = -n * z_mt + (s0 - s1 - n) / sg
-        h_tt = -n * z_tt - w_sum - s2 + s1
-        det = h_mm * h_tt - h_mt * h_mt
-        if not (h_mm < 0.0 and det > 0.0):
-            half_tr = 0.5 * (h_mm + h_tt)
-            top = half_tr + math.sqrt(max(half_tr * half_tr - det, 0.0))
-            shift = top + 1e-3 * (abs(h_mm) + abs(h_tt)) + 1e-12 * n
-            h_mm, h_tt = h_mm - shift, h_tt - shift
-            det = h_mm * h_tt - h_mt * h_mt
-        d_m = (h_mt * g_t - h_tt * g_m) / det
-        d_t = (h_mt * g_m - h_mm * g_t) / det
-        lam = 1.0
+        y = _solve(h, g)
+        if y is None:
+            break
+        d_m, d_t, d_d = y[0], y[1], (y[2] if k == 3 else 0.0)
+        t, lam = math.log(sg), 1.0
         for _ in range(_LINE_SEARCH_HALVINGS):
-            mu_c, t_c = mu + lam * d_m, t + lam * d_t
+            t_c = t + lam * d_t
             if abs(t_c) <= _MAX_LOG_SIGMA:
-                cand = _profile_terms(x, sx, delta, mu_c, t_c)
+                trial = (mu + lam * d_m, math.exp(t_c), dl + lam * d_d)
+                cand = _terms(x, *trial, b)
                 if cand[0] >= value - _ROUNDING * n:
                     break
             lam *= 0.5
         else:
             break
-        mu, t, terms = mu_c, t_c, cand
+        (mu, sg, dl), terms = trial, cand
         steps += 1
-        if cand[0] <= value:  # no gain left above rounding
+        # No gain above rounding, seen or promised by the Newton model.
+        if cand[0] <= value or sum(map(mul, g, y)) <= 2.0 * _ROUNDING * n:
             break
-    return mu, t, terms[0], steps
+    return mu, sg, dl, terms, steps
 
 
-def _newton_polish(
-    th: np.ndarray, x: np.ndarray, max_steps: int = 40
-) -> tuple[np.ndarray, int]:
-    steps = 0
-    for _ in range(max_steps):
-        p = BgParams(th[0], th[1], th[2])
-        sc = score(p, x)
-        ll0 = log_likelihood(p, x)
-        if np.max(np.abs(sc)) < 1e-10 * max(1.0, abs(ll0)):
-            break
-        try:
-            step = np.linalg.solve(hessian(p, x), -sc)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        moved = False
-        while lam > 1e-6:
-            cand = th + lam * step
-            if cand[1] > 0:
-                try:
-                    if log_likelihood(BgParams(*cand), x) >= ll0 - 1e-12:
-                        moved = True
-                        break
-                except (ValueError, OverflowError):
-                    pass
-            lam /= 2.0
-        if not moved:
-            break
-        th = th + lam * step
-        steps += 1
-    return th, steps
-
-
-def _finish(th: np.ndarray, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
-    p = BgParams(th[0], th[1], th[2])
-    ll = log_likelihood(p, x)
-    sc = score(p, x)
+def _finish(p: BgParams, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
+    ll, g, h = _terms(x, p.mu, p.sigma, p.delta)
+    sc, hs = _to_sigma(g, h, p.sigma)
     if fix_delta:
-        sc = sc.copy()
         sc[2] = 0.0
     gnorm = float(np.linalg.norm(sc))
     converged = gnorm < _CONVERGENCE_FACTOR * max(1.0, abs(ll))
 
-    h = hessian(p, x)
-    if fix_delta:
-        obs = -h[:2, :2]
-    else:
-        obs = -h
+    obs = -hs[:2, :2] if fix_delta else -hs
     std_errors: tuple[float, float, float] | None
     try:
         cov = np.linalg.inv(obs)
@@ -460,63 +436,61 @@ def fit_mle(
 
     A profile-likelihood search in delta, which can hold several local
     maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
-    profile l_p(delta) = max over (mu, sigma) of l is computed by a 2x2
-    Newton in (mu, ln sigma), walking out from delta = 0 both ways and
-    warm-starting each point from its neighbour; ``init``, when given, is one
-    more start at its own delta.  Every local maximum of the grid is polished
-    by a 3-D Newton in (mu, sigma, delta), and the highest is returned, near
-    ties (within 1e-8 per observation) going to the smaller |delta|.
-    ``max_iter`` caps the Newton steps of each 2x2 solve and ``tol`` is its
-    gradient tolerance per observation.  The profile and all maxima are in
-    ``diagnostics``.  A result with ``converged=False`` is still returned so
-    callers can inspect the partial fit.
+    profile l_p(delta) = max over (mu, sigma) of l is computed by the damped
+    Newton `_newton` in (mu, ln sigma) at fixed delta, walking out from
+    delta = 0 both ways and warm-starting each point from its neighbour;
+    ``init``, when given, is one more start at its own delta.  The same
+    Newton, now in (mu, ln sigma, delta), polishes every local maximum of the
+    grid until a step gains nothing above rounding (at most 40 steps), and
+    the highest maximum is returned, near ties (within 1e-8 per observation)
+    going to the smaller |delta|.  ``max_iter`` caps the Newton steps at each fixed
+    delta and ``tol`` is their gradient tolerance per observation.  The
+    profile and all maxima are in ``diagnostics``.  A result with
+    ``converged=False`` is still returned so callers can inspect the partial
+    fit.
     """
     x = _fit_data(data)
-    sx = float(x.sum())
-    grid = _delta_grid(x)
-    mid = grid.size // 2
-    sol = np.empty((grid.size, 2))
-    profile = np.empty(grid.size)
+    grid = _delta_grid(x).tolist()
+    mid, last = len(grid) // 2, len(grid) - 1
+    sol = [(0.0, 0.0)] * len(grid)
+    profile = [0.0] * len(grid)
 
-    def solve(k: int, mu: float, t: float) -> int:
-        mu, t, value, steps = _profile_newton(x, sx, float(grid[k]), mu, t, max_iter, tol)
-        sol[k] = mu, t
-        u = 1.0 - grid[k] * x
-        profile[k] = value + float(np.log1p(u * u).sum())
+    def solve(k: int, mu: float, sg: float) -> int:
+        b = _b_terms(x, grid[k], False)
+        mu, sg, _, terms, steps = _newton(x, mu, sg, grid[k], max_iter, tol, b)
+        sol[k], profile[k] = (mu, sg), terms[0]
         return steps
 
-    mu0, sg0 = _gumbel_moment_init(x)
-    inner = solve(mid, mu0, math.log(sg0))
-    for k in range(mid + 1, grid.size):
+    inner = solve(mid, *_gumbel_moment_init(x))
+    for k in range(mid + 1, len(grid)):
         inner += solve(k, *sol[k - 1])
     for k in range(mid - 1, -1, -1):
         inner += solve(k, *sol[k + 1])
 
-    last = grid.size - 1
     peaks = [
-        k for k in range(grid.size)
+        k for k in range(len(grid))
         if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
     ] or [mid]
-    starts = [(sol[k, 0], math.exp(sol[k, 1]), grid[k], k in (0, last)) for k in peaks]
+    starts = [(*sol[k], grid[k], k in (0, last)) for k in peaks]
     if init is not None:
-        mu, t, _, steps = _profile_newton(
-            x, sx, init.delta, init.mu, math.log(init.sigma), max_iter, tol
+        mu, sg, dl, _, steps = _newton(
+            x, init.mu, init.sigma, init.delta, max_iter, tol, _b_terms(x, init.delta, False)
         )
         inner += steps
-        starts.append((mu, math.exp(t), init.delta, False))
+        starts.append((mu, sg, dl, False))
 
     total = inner
     maxima: list[LocalMaximum] = []
     for mu, sg, dl, edge in starts:
-        th, steps = _newton_polish(np.array([mu, sg, dl]), x)
+        mu, sg, dl, terms, steps = _newton(x, mu, sg, dl, _POLISH_STEPS, 0.0)
         total += steps
-        p = BgParams(*th)
+        p = BgParams(mu, sg, dl)
         for i, m in enumerate(maxima):
             if _same_point(m.params, p):
                 maxima[i] = m._replace(at_grid_edge=m.at_grid_edge and edge)
                 break
         else:
-            maxima.append(LocalMaximum(p, log_likelihood(p, x), edge))
+            maxima.append(LocalMaximum(p, terms[0], edge))
     maxima.sort(key=lambda m: -m.log_likelihood)
 
     top = maxima[0].log_likelihood
@@ -525,15 +499,13 @@ def fit_mle(
         key=lambda m: abs(m.params.delta),
     )
     diagnostics = FitDiagnostics(
-        delta_grid=tuple(grid.tolist()),
-        profile_loglik=tuple(profile.tolist()),
+        delta_grid=tuple(grid),
+        profile_loglik=tuple(profile),
         maxima=tuple(maxima),
         inner_steps=inner,
         weakly_identified=len(maxima) > 1 and top - maxima[1].log_likelihood < _WEAK_GAP,
     )
-    p = best.params
-    fit = _finish(np.array([p.mu, p.sigma, p.delta]), x, total, fix_delta=False)
-    return replace(fit, diagnostics=diagnostics)
+    return replace(_finish(best.params, x, total, fix_delta=False), diagnostics=diagnostics)
 
 
 def _same_point(a: BgParams, b: BgParams) -> bool:
@@ -551,12 +523,10 @@ def fit_gumbel_mle(
 ) -> FitResult:
     """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
 
-    The 2x2 Newton of ``fit_mle``'s profile at delta = 0, from the moment
-    estimates or from ``init``; ``max_iter`` and ``tol`` are as there.
+    The fixed-delta Newton of ``fit_mle``'s profile at delta = 0, from the
+    moment estimates or from ``init``; ``max_iter`` and ``tol`` are as there.
     """
     x = _fit_data(data)
-    mu0, sg0 = _gumbel_moment_init(x)
-    if init is not None:
-        mu0, sg0 = init.mu, init.sigma
-    mu, t, _, steps = _profile_newton(x, float(x.sum()), 0.0, mu0, math.log(sg0), max_iter, tol)
-    return _finish(np.array([mu, math.exp(t), 0.0]), x, steps, fix_delta=True)
+    mu, sg = _gumbel_moment_init(x) if init is None else (init.mu, init.sigma)
+    mu, sg, _, _, steps = _newton(x, mu, sg, 0.0, max_iter, tol, _b_terms(x, 0.0, False))
+    return _finish(BgParams(mu, sg, 0.0), x, steps, fix_delta=True)

@@ -64,6 +64,21 @@ def cdf_interpolator(p: BgParams) -> PchipInterpolator:
     return PchipInterpolator(xs[keep], f[keep])
 
 
+def inverse_sampler(p: BgParams):
+    """i.i.d. draws by inverting a dense cumulative-quadrature CDF table."""
+    fwd = cdf_interpolator(p)
+    xs = fwd.x
+    fs = fwd(xs)
+    keep = np.concatenate([[True], np.diff(fs) > 1e-14])
+    inv = PchipInterpolator(fs[keep], xs[keep])
+    lo, hi = float(fs[keep][0]), float(fs[keep][-1])
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.asarray(inv(np.clip(rng.uniform(size=n), lo, hi)), dtype=float)
+
+    return draw
+
+
 def ks_distance_to_cdf(draws: np.ndarray, cdf_values_of_sorted: np.ndarray) -> float:
     """Two-sided sup distance between the empirical law and F (F at sorted draws)."""
     n = len(draws)

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 from scipy.stats import ks_2samp
 
 from bgumbel import (
@@ -36,7 +35,7 @@ from bgumbel import (
     score,
 )
 from bgumbel.special import gamma_deriv
-from helpers import cdf_interpolator, quad_cdf, random_params
+from helpers import inverse_sampler, quad_cdf, random_params
 
 # Reference moment values (closed forms rounded to reporting precision) and
 # Monte Carlo tolerances for the four simulation parameter sets.
@@ -55,16 +54,6 @@ MH_VAR_TOL = 2 * 0.8902
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
     assert ok, detail
-
-
-def _inverse_sampler(p: BgParams):
-    fwd = cdf_interpolator(p)
-    xs = fwd.x
-    fs = fwd(xs)
-    keep = np.concatenate([[True], np.diff(fs) > 1e-14])
-    inv = PchipInterpolator(fs[keep], xs[keep])
-    lo, hi = float(fs[keep][0]), float(fs[keep][-1])
-    return lambda rng, n: np.asarray(inv(np.clip(rng.uniform(size=n), lo, hi)), dtype=float)
 
 
 def test_criterion_01_population_moments():
@@ -203,7 +192,7 @@ def test_criterion_06_score_and_hessian_vs_finite_differences():
 def test_criterion_07_fisher_information():
     t0 = time.perf_counter()
     truth = BgParams(-1, 2, -1)
-    draw = _inverse_sampler(truth)
+    draw = inverse_sampler(truth)
     rng = np.random.default_rng(5)
     fit = fit_mle(draw(rng, 4000))
     info = fisher_information(fit.params)
@@ -230,7 +219,7 @@ def test_criterion_08_mle_consistency():
     t0 = time.perf_counter()
     details = []
     for truth in (BgParams(-2, 1, -1), BgParams(1, 1, 2)):
-        draw = _inverse_sampler(truth)
+        draw = inverse_sampler(truth)
         rng = np.random.default_rng(808)
         target = np.array([truth.mu, truth.sigma, truth.delta])
         hits = np.zeros(3, dtype=int)
@@ -262,7 +251,7 @@ def test_criterion_09_representation_vs_mh():
 def test_criterion_10_model_comparison_direction():
     t0 = time.perf_counter()
     truth = BgParams(1, 1, 2)
-    draw = _inverse_sampler(truth)
+    draw = inverse_sampler(truth)
     wins = 0
     margins = []
     for seed in range(20):

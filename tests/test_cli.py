@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bgumbel import BgParams, bg_pdf
 from bgumbel.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -67,6 +68,14 @@ class TestEval:
                     "--what", "cdf", "--grid=-3:5:17"]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 18  # header + 17 points
+
+    def test_pdf_grid_matches_per_point(self, capsys):
+        # One array call to bg_pdf prints exactly what a per-point loop would.
+        p = BgParams(1.0, 1.0, 2.0)
+        assert run(["eval", "--mu", "1", "--sigma", "1", "--delta", "2",
+                    "--what", "pdf", "--grid=-8:60:1001"]) == EXIT_OK
+        rows = [f"{x:.12g},{float(bg_pdf(p, float(x))):.12g}" for x in np.linspace(-8, 60, 1001)]
+        assert capsys.readouterr().out == "\n".join(["x,pdf", *rows]) + "\n"
 
     def test_hazard_table_columns(self, capsys):
         assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "0",

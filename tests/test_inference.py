@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,27 +20,10 @@ from bgumbel import (
     score,
 )
 from bgumbel.inference import _z_first_derivs
-from helpers import cdf_interpolator, fd_gradient, random_params
+from helpers import fd_gradient, inverse_sampler, random_params
 
 EG = CONSTANTS.euler_gamma
 PI = math.pi
-
-
-def _inverse_sampler(p: BgParams):
-    """i.i.d. draws by inverting a dense cumulative-quadrature CDF table."""
-    from scipy.interpolate import PchipInterpolator
-
-    fwd = cdf_interpolator(p)
-    xs = fwd.x
-    fs = fwd(xs)
-    keep = np.concatenate([[True], np.diff(fs) > 1e-14])
-    inv = PchipInterpolator(fs[keep], xs[keep])
-    lo, hi = float(fs[keep][0]), float(fs[keep][-1])
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(inv(np.clip(rng.uniform(size=n), lo, hi)), dtype=float)
-
-    return draw
 
 
 def _random_instance(rng, n=60):
@@ -69,6 +53,24 @@ class TestLogLikelihood:
         with pytest.raises(InsufficientDataError):
             log_likelihood(BgParams(0, 1, 0), [])
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, -1e6])
+    def test_far_from_origin_matches_mpmath(self, offset):
+        # Summing w = (x - mu)/sigma as (sum x - n mu)/sigma cancels here:
+        # at offset 1e6 it is off by about 3e-12 relative.
+        x = offset + np.random.default_rng(23).gumbel(0.0, 2.0, 200)
+        p = BgParams(offset + 0.3, 2.1, 0.7 / offset)
+        with mpmath.workdps(40):
+            mu, sg, dl = (mpmath.mpf(v) for v in (p.mu, p.sigma, p.delta))
+            log_norm = mpmath.log(sg * (
+                1 + (dl * sg * mpmath.pi) ** 2 / 6 + (dl * (mu + sg * mpmath.euler) - 1) ** 2
+            ))
+            ref = 0
+            for xi in map(mpmath.mpf, x.tolist()):
+                w = (xi - mu) / sg
+                ref += mpmath.log(1 + (1 - dl * xi) ** 2) - log_norm - w - mpmath.exp(-w)
+            ref = float(ref)
+        assert abs(log_likelihood(p, x) - ref) <= 1e-13 * abs(ref)
+
 
 class TestScore:
     def test_matches_finite_differences(self):
@@ -89,7 +91,7 @@ class TestScore:
 
     def test_small_at_optimum(self):
         rng = np.random.default_rng(2)
-        sampler = _inverse_sampler(BgParams(-2, 1, -1))
+        sampler = inverse_sampler(BgParams(-2, 1, -1))
         x = sampler(rng, 4000)
         fit = fit_mle(x)
         assert np.linalg.norm(score(fit.params, x)) < 1e-5 * max(
@@ -149,7 +151,7 @@ class TestFisherInformation:
 
     def test_positive_definite_at_fitted_params(self):
         rng = np.random.default_rng(6)
-        sampler = _inverse_sampler(BgParams(-1, 2, -1))
+        sampler = inverse_sampler(BgParams(-1, 2, -1))
         fit = fit_mle(sampler(rng, 3000))
         eigs = np.linalg.eigvalsh(fisher_information(fit.params))
         assert np.all(eigs > 0)
@@ -158,7 +160,7 @@ class TestFisherInformation:
         p = BgParams(-1, 2, -1)
         info = fisher_information(p)
         rng = np.random.default_rng(7)
-        sampler = _inverse_sampler(p)
+        sampler = inverse_sampler(p)
         acc = np.zeros((3, 3))
         reps, n = 60, 2000
         for _ in range(reps):
@@ -170,7 +172,7 @@ class TestFisherInformation:
 class TestFitMle:
     def test_recovers_negative_delta_model(self):
         p = BgParams(-2, 1, -1)
-        sampler = _inverse_sampler(p)
+        sampler = inverse_sampler(p)
         rng = np.random.default_rng(8)
         for _ in range(3):
             fit = fit_mle(sampler(rng, 5000))
@@ -183,7 +185,7 @@ class TestFitMle:
 
     def test_recovers_bimodal_model(self):
         p = BgParams(1, 1, 2)
-        sampler = _inverse_sampler(p)
+        sampler = inverse_sampler(p)
         rng = np.random.default_rng(9)
         fit = fit_mle(sampler(rng, 5000))
         assert fit.converged
@@ -223,7 +225,7 @@ class TestFitMle:
 
     def test_explicit_init_is_honored(self):
         rng = np.random.default_rng(12)
-        sampler = _inverse_sampler(BgParams(1, 1, 2))
+        sampler = inverse_sampler(BgParams(1, 1, 2))
         x = sampler(rng, 2000)
         fit = fit_mle(x, init=BgParams(1.0, 1.0, 2.0))
         assert fit.converged
@@ -288,6 +290,19 @@ class TestFitMle:
         assert fit.converged
         assert fit.params.delta == pytest.approx(-3.42e-4, rel=0.01)
 
+    def test_polished_maxima_are_stationary(self):
+        # Started in a convex stretch of the profile (delta = -2.4e-3), a
+        # polish must still reach a stationary point, not stall where every
+        # Newton step points downhill.
+        x = np.random.default_rng(22).gumbel(-1e4, 3.0, 300)
+        g = fit_gumbel_mle(x).params
+        fit = fit_mle(x, init=BgParams(g.mu, g.sigma, -2.4e-3))
+        rms = math.sqrt(np.mean(x * x))
+        for m in fit.diagnostics.maxima:
+            if not m.at_grid_edge:
+                units = np.array([m.params.sigma, m.params.sigma, 1.0 / rms])
+                assert np.max(np.abs(score(m.params, x) * units)) <= 1e-7
+
     def test_mostly_tied_data(self):
         # The median absolute deviation is 0, so the grid's reach comes
         # from the standard deviation.
@@ -300,7 +315,7 @@ class TestFitMle:
         # A dataset on which the earlier 13-start BFGS lattice in delta
         # stopped 12.9 log-likelihood units below the generating parameters.
         p = BgParams(2.89, 2.41, 0.417)
-        x = _inverse_sampler(p)(np.random.default_rng(55), 624)
+        x = inverse_sampler(p)(np.random.default_rng(55), 624)
         truth = log_likelihood(p, x)
         assert fit_mle(x).log_likelihood >= truth - 1e-9 * abs(truth)
 
