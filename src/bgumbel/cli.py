@@ -17,8 +17,10 @@ Exit codes: 0 success, 2 usage or input errors, 3 numeric failure,
 
 Every output file is accompanied (CSV) or embedded (JSON) with a run
 manifest: command, resolved arguments, seed, tool version and timestamp.
-Outputs are deterministic given flags and seed; the environment variable
-BGUMBEL_SEED overrides the default seed when --seed is not passed.
+Outputs are deterministic given flags and seed.  Only sample and simulate
+draw random numbers and take --seed; the environment variable BGUMBEL_SEED
+overrides their default seed when --seed is not passed.  eval and fit
+record "seed": null.
 """
 from __future__ import annotations
 
@@ -37,7 +39,9 @@ from .distribution import BgParams, bg_cdf, bg_moment_set, bg_pdf
 from .errors import BGumbelError
 from .inference import FitResult
 from .model_selection import (
+    _MODELS,
     BlockMaximaConfig,
+    _gof_for_fit,
     block_maxima,
     compare_models,
     ljung_box,
@@ -304,12 +308,11 @@ def _cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    seed = args.seed if args.seed is not None else _default_seed()
     manifest = _manifest("fit", {
         "input": str(args.input), "model": args.model, "blocks": args.blocks,
         "center": args.center, "partial_block": not args.no_partial_block,
         "ljung_box_lags": args.ljung_box_lags,
-    }, seed=seed)
+    }, seed=None)
 
     report: dict = {"input": str(args.input), "n_raw": int(series.size)}
     data = series
@@ -360,12 +363,8 @@ def _cmd_fit(args) -> int:
         if any(not f.converged for f in fits):
             exit_code = EXIT_NO_CONVERGENCE
     else:
-        from .inference import fit_gumbel_mle, fit_mle
-        from .model_selection import _gof_for_fit
-
-        fitter, k = (fit_mle, 3) if args.model == "bg" else (fit_gumbel_mle, 2)
-        fit = fitter(data)
-        models[args.model] = _fit_payload(fit, _gof_for_fit(fit, data, args.model, k))
+        fit = _MODELS[args.model][0](data)
+        models[args.model] = _fit_payload(fit, _gof_for_fit(fit, data, args.model))
         if not fit.converged:
             exit_code = EXIT_NO_CONVERGENCE
     report["models"] = models
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--no-partial-block", action="store_true",
                     help="drop a trailing partial block instead of keeping it")
     ft.add_argument("--ljung-box-lags", type=int, default=None)
-    ft.add_argument("--seed", type=int, default=None)
     ft.add_argument("-o", "--output", default=None, help="report JSON (default stdout)")
     ft.set_defaults(func=_cmd_fit)
     return ap
@@ -452,21 +450,13 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        if isinstance(exc, BGumbelError):
-            print(f"numeric error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BGumbelError as exc:
+    # Numeric errors first: most package errors and LinAlgError are also ValueErrors.
+    except (BGumbelError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (UsageError, argparse.ArgumentTypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

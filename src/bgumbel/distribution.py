@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateWeightError
-from .special import CONSTANTS, _log_poly_gamma, log_weight_shares
+from .special import CONSTANTS, _log_poly_gamma, _roots, log_weight_shares
 
 __all__ = [
     "BgParams",
@@ -270,8 +269,7 @@ def _quantile(p: BgParams, q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly inside (0, 1)")
-    lo, hi = _bracket(p, q, q)
-    return float(brentq(lambda t: bg_cdf(p, t) - q, lo, hi, xtol=1e-12))
+    return _roots(lambda t: bg_cdf(p, t) - q, np.array(_bracket(p, q, q)))[0][0]
 
 
 def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:

@@ -57,6 +57,8 @@ _GRID_HALF, _GRID_REACH, _GRID_KNEE = 40, 10.0, 0.1
 # the fall in l per observation taken as rounding: near the optimum a step
 # gains less than the rounding of terms such as sum w.
 _LINE_SEARCH_HALVINGS, _MAX_LOG_SIGMA, _ROUNDING = 20, 300.0, 1e-12
+# Newton at fixed delta: step cap and gradient tolerance per observation.
+_MAX_ITER, _TOL = 500, 1e-9
 # Newton steps of the 3-D polish of each maximum; from a grid end the polish
 # can drift out in delta, where the profile flattens.
 _POLISH_STEPS = 40
@@ -426,12 +428,7 @@ def _fit_data(data) -> np.ndarray:
     return x
 
 
-def fit_mle(
-    data,
-    init: BgParams | None = None,
-    max_iter: int = 500,
-    tol: float = 1e-9,
-) -> FitResult:
+def fit_mle(data, init: BgParams | None = None) -> FitResult:
     """Maximum-likelihood fit of the full three-parameter model.
 
     A profile-likelihood search in delta, which can hold several local
@@ -443,8 +440,8 @@ def fit_mle(
     Newton, now in (mu, ln sigma, delta), polishes every local maximum of the
     grid until a step gains nothing above rounding (at most 40 steps), and
     the highest maximum is returned, near ties (within 1e-8 per observation)
-    going to the smaller |delta|.  ``max_iter`` caps the Newton steps at each fixed
-    delta and ``tol`` is their gradient tolerance per observation.  The
+    going to the smaller |delta|.  At each fixed delta the Newton stops
+    after 500 steps or at a gradient of 1e-9 per observation.  The
     profile and all maxima are in ``diagnostics``.  A result with
     ``converged=False`` is still returned so callers can inspect the partial
     fit.
@@ -457,7 +454,7 @@ def fit_mle(
 
     def solve(k: int, mu: float, sg: float) -> int:
         b = _b_terms(x, grid[k], False)
-        mu, sg, _, terms, steps = _newton(x, mu, sg, grid[k], max_iter, tol, b)
+        mu, sg, _, terms, steps = _newton(x, mu, sg, grid[k], _MAX_ITER, _TOL, b)
         sol[k], profile[k] = (mu, sg), terms[0]
         return steps
 
@@ -474,7 +471,7 @@ def fit_mle(
     starts = [(*sol[k], grid[k], k in (0, last)) for k in peaks]
     if init is not None:
         mu, sg, dl, _, steps = _newton(
-            x, init.mu, init.sigma, init.delta, max_iter, tol, _b_terms(x, init.delta, False)
+            x, init.mu, init.sigma, init.delta, _MAX_ITER, _TOL, _b_terms(x, init.delta, False)
         )
         inner += steps
         starts.append((mu, sg, dl, False))
@@ -515,18 +512,13 @@ def _same_point(a: BgParams, b: BgParams) -> bool:
     )
 
 
-def fit_gumbel_mle(
-    data,
-    init: BgParams | None = None,
-    max_iter: int = 500,
-    tol: float = 1e-9,
-) -> FitResult:
+def fit_gumbel_mle(data) -> FitResult:
     """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
 
     The fixed-delta Newton of ``fit_mle``'s profile at delta = 0, from the
-    moment estimates or from ``init``; ``max_iter`` and ``tol`` are as there.
+    moment estimates.
     """
     x = _fit_data(data)
-    mu, sg = _gumbel_moment_init(x) if init is None else (init.mu, init.sigma)
-    mu, sg, _, _, steps = _newton(x, mu, sg, 0.0, max_iter, tol, _b_terms(x, 0.0, False))
+    mu, sg = _gumbel_moment_init(x)
+    mu, sg, _, _, steps = _newton(x, mu, sg, 0.0, _MAX_ITER, _TOL, _b_terms(x, 0.0, False))
     return _finish(BgParams(mu, sg, 0.0), x, steps, fix_delta=True)

@@ -49,16 +49,15 @@ _ACCEPTANCE_BAND = (0.1, 0.6)
 class McmcConfig:
     """Tuning of the random-walk Metropolis sampler.
 
-    ``burn_in``, ``proposal_scale`` and ``initial_point`` may be left as None
-    to use the defaults: 10% of the iterations, 2.4 x the target standard
-    deviation, and the location parameter mu.
+    ``burn_in`` and ``proposal_scale`` may be left as None to use the
+    defaults: 10% of the iterations and 2.4 x the target standard
+    deviation.  Chains start at the location parameter mu.
     """
 
     n_iterations: int
     burn_in: int | None = None
     proposal_scale: float | None = None
     seed: int = 0
-    initial_point: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_iterations < 1:
@@ -121,11 +120,11 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
     n = cfg.n_iterations
     burn = cfg.burn_in if cfg.burn_in is not None else n // 10
     scale = cfg.proposal_scale if cfg.proposal_scale is not None else _default_proposal_scale(p)
-    x = cfg.initial_point if cfg.initial_point is not None else p.mu
+    x = p.mu
 
     rng = np.random.default_rng(cfg.seed)
-    steps = rng.normal(0.0, scale, size=n)
-    log_u = np.log(rng.uniform(size=n))
+    steps = rng.normal(0.0, scale, size=n).tolist()
+    log_u = np.log(rng.uniform(size=n)).tolist()
 
     mu, sg, dl = p.mu, p.sigma, p.delta
     log_norm = math.log(sg * normalizer(p))
@@ -137,16 +136,16 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
         return math.log(u * u + 1.0) - w - ew - log_norm
 
     lp = logpdf(x)
-    out = np.empty(n)
+    out = []
     accepted = 0
-    for i in range(n):
-        y = x + steps[i]
+    for step, lu in zip(steps, log_u):
+        y = x + step
         lpy = logpdf(y)
-        if lpy - lp > log_u[i]:
+        if lpy - lp > lu:
             x, lp = y, lpy
             accepted += 1
-        out[i] = x
-    return Chain(draws=out[burn:], acceptance_rate=accepted / n, seed=cfg.seed)
+        out.append(x)
+    return Chain(draws=np.array(out[burn:]), acceptance_rate=accepted / n, seed=cfg.seed)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distribution import BgParams, bg_pdf, bg_sf
 from .errors import RegimeError, RootIsolationError
+from .special import _roots
 
 __all__ = [
     "ConditionCReport",
@@ -101,7 +101,7 @@ def check_condition_c(p: BgParams) -> ConditionCReport:
     return ConditionCReport(c1 and c2 and c3 and c4, c1, c2, c3, c4)
 
 
-def _g_increase_gap(p: BgParams, x: np.ndarray) -> np.ndarray:
+def _g_increase_gap(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     """h(x) = 2 d^2 (u^2-1)/(u^2+1) + exp(-(x-mu)/s)/s^2; D is where h < 0 (g' > 0)."""
     u = 1.0 - p.delta * x
     w = (x - p.mu) / p.sigma
@@ -112,24 +112,16 @@ def _g_increase_gap(p: BgParams, x: np.ndarray) -> np.ndarray:
 def d_interval(p: BgParams) -> tuple[float, float] | None:
     """Interval D on which g is strictly increasing, for parameters in C.
 
-    Located by sign-scanning on a dense grid and bisection-refining the
-    endpoints; returns None when no sign change is found.
+    Condition 1 forces delta > 1, and h < 0 needs (1 - delta x)^2 < 1, so D
+    lies in (0, 2/delta).  At both ends (1 - delta x)^2 = 1 and h > 0, so
+    D runs from the first to the last sign change of h on a 16385-point
+    grid of that interval, each refined by bisection; returns None when h
+    has no sign change.
     """
     if not check_condition_c(p).holds:
         raise RegimeError("d_interval requires the condition set C to hold")
-    # Condition 1 forces delta > 1; the defining inequality can only hold
-    # where (1 - delta x)^2 < 1, i.e. x in (0, 2/delta).
-    lo, hi = 0.0, 2.0 / p.delta
-    xs = np.linspace(lo, hi, 16385)
-    hv = _g_increase_gap(p, xs)
-    neg = np.flatnonzero(hv < 0.0)
-    if neg.size == 0:
-        return None
-    i0, i1 = neg[0], neg[-1]
-    f = lambda t: float(_g_increase_gap(p, np.asarray([t]))[0])
-    left = brentq(f, xs[i0 - 1], xs[i0], xtol=1e-12) if i0 > 0 else lo
-    right = brentq(f, xs[i1], xs[i1 + 1], xtol=1e-12) if i1 < xs.size - 1 else hi
-    return float(left), float(right)
+    roots = _roots(lambda x: _g_increase_gap(p, x), np.linspace(0.0, 2.0 / p.delta, 16385))
+    return (roots[0][0], roots[-1][0]) if roots else None
 
 
 def _search_grid(p: BgParams, n: int) -> np.ndarray:
@@ -154,23 +146,9 @@ def find_modes(p: BgParams) -> ShapeReport:
     grid and refined by bisection; a sign change + -> - marks a mode and
     - -> + marks the antimode.
     """
-    roots: list[tuple[float, bool]] = []
     for n in _GRID_SIZES:
-        xs = _search_grid(p, n)
-        gv = critical_function_g(p, xs)
-        sgn = np.sign(gv)
-        idx = np.flatnonzero(np.diff(sgn) != 0)
-        roots = []
-        for i in idx:
-            r = brentq(
-                lambda t: float(critical_function_g(p, t)),
-                xs[i],
-                xs[i + 1],
-                xtol=1e-12,
-                rtol=8.9e-16,
-            )
-            is_mode = sgn[i] > 0  # + -> - : density rises then falls
-            roots.append((float(r), bool(is_mode)))
+        # A root where g falls (+ -> -) is a mode: the density rises then falls.
+        roots = _roots(lambda x: critical_function_g(p, x), _search_grid(p, n))
         # g -> +inf on the far left and -> -1/sigma on the far right, so the
         # number of simple roots must be odd; an even count means a pair is
         # hiding between grid nodes.

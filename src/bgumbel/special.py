@@ -14,7 +14,9 @@ which removes the logarithmic endpoint singularity at v = 0 and maps the
 exponential tail onto a doubly-exponential one.  The adaptive quadrature of
 :func:`incomplete_log_moment` runs on that transformed domain.  The
 distribution functions use the vectorized :func:`log_weight_shares` instead,
-and every complete moment the private :func:`_log_poly_gamma`.
+and every complete moment the private :func:`_log_poly_gamma`.  The private
+:func:`_roots` is the one bracketed root search of the package (modes,
+the interval D and quantiles).
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import DivergentIntegralError, QuadratureError
 
@@ -344,3 +347,16 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
     if len(q) > len(derivs):
         raise ValueError(f"log-polynomial degree {len(q) - 1} exceeds {len(derivs) - 1} at a = {a}")
     return sum(c * g for c, g in zip(q, derivs))
+
+
+def _roots(f, xs: np.ndarray) -> list[tuple[float, bool]]:
+    """Every sign change of the vectorized ``f`` between neighbours of the grid ``xs``.
+
+    Each is refined by ``brentq`` (xtol 1e-12, rtol 8.9e-16) on ``f`` called
+    with a scalar.  Returns ascending (root, f falls there) pairs.
+    """
+    sgn = np.sign(f(xs))
+    return [
+        (brentq(lambda t: float(f(t)), xs[i], xs[i + 1], xtol=1e-12, rtol=8.9e-16), bool(sgn[i] > 0))
+        for i in np.flatnonzero(np.diff(sgn) != 0)
+    ]

@@ -243,5 +243,21 @@ class TestFit:
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["fit", "/nonexistent/file.csv"]) == EXIT_USAGE
 
+    def test_constant_data_is_numeric_error(self, tmp_path, capsys):
+        csv = tmp_path / "c.csv"
+        csv.write_text("1.0\n" * 7)
+        assert run(["fit", str(csv)]) == EXIT_NUMERIC
+        assert "identical" in capsys.readouterr().err
+
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "nan.csv"
+        csv.write_text("x\n1.0\n2.5\nnan\n0.7\n3.1\n1.9\n")
+        assert run(["fit", str(csv), "--model", "both"]) == EXIT_USAGE
+        assert "non-finite value 'nan' on line 4" in capsys.readouterr().err
+
+    def test_manifest_records_no_seed(self, fixtures_dir, capsys):
+        assert run(["fit", str(fixtures_dir / "maxima29.csv"), "--model", "gumbel"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["manifest"]["seed"] is None
+
     def test_exit_codes_are_distinct(self):
         assert {EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_NO_CONVERGENCE} == {0, 2, 3, 4}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +40,12 @@ class TestMhSample:
         b = mh_sample(ROW1, cfg)
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_chain_pinned_across_versions(self):
+        chain = mh_sample(ROW1, McmcConfig(n_iterations=20000, seed=3))
+        digest = hashlib.sha256(chain.draws.tobytes()).hexdigest()
+        assert digest == "776fd6278da34c37ad490a8f6b5b76cc7468ab843f0916ff60c0c03144a3ae0f"
+        assert chain.acceptance_rate == 0.3315
 
     def test_draw_count_and_rate(self):
         chain = mh_sample(ROW1, McmcConfig(n_iterations=2000, burn_in=500, seed=1))
