@@ -47,7 +47,9 @@ from .model_selection import (
     ljung_box,
     read_series_csv,
 )
-from .sampling import McmcConfig, _draws_csv_text, chain_summary, mh_sample, representation_sample
+from .sampling import (
+    Chain, McmcConfig, _csv_text, _draws_csv_text, chain_summary, mh_sample, representation_sample,
+)
 from .shape import find_modes, hazard
 
 EXIT_OK = 0
@@ -95,16 +97,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _atomic_write(Path(out), text)
-    else:
+def _emit(text: str, out: str | None, manifest: dict | None = None) -> None:
+    """Write ``text`` to ``out`` or stdout, and a given manifest to the ``out`` sidecar."""
+    if not out:
         sys.stdout.write(text)
-
-
-def _write_manifest_sidecar(out: str | None, manifest: dict) -> None:
-    if out:
-        _atomic_write(Path(str(out) + ".manifest.json"), _stable_json(manifest) + "\n")
+        return
+    _atomic_write(Path(out), text)
+    if manifest is not None:
+        _atomic_write(Path(out + ".manifest.json"), _stable_json(manifest) + "\n")
 
 
 def _stable_json(obj) -> str:
@@ -125,11 +125,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _csv_table(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
+def _chain(p: BgParams, n: int, seed: int, burn_in: int | None = None,
+           scale: float | None = None) -> Chain:
+    """Metropolis chain of ``n`` kept draws after ``burn_in`` (default 10% of n, at least 1)."""
+    burn = burn_in if burn_in is not None else max(n // 10, 1)
+    return mh_sample(p, McmcConfig(n_iterations=n + burn, burn_in=burn,
+                                   proposal_scale=scale, seed=seed))
 
 
 # ----------------------------------------------------------------------
@@ -147,27 +148,18 @@ def _cmd_eval(args) -> int:
         if args.grid_spec is None and args.at is None:
             raise UsageError("--what pdf/cdf/hazard requires --grid or --at")
         xs = _parse_grid(args.grid_spec) if args.grid_spec else np.array([args.at])
-        if args.what == "pdf":
-            rows = [[float(x), float(f)] for x, f in zip(xs, bg_pdf(p, xs))]
-            header = ["x", "pdf"]
-        elif args.what == "cdf":
-            rows = [[float(x), float(f)] for x, f in zip(xs, bg_cdf(p, xs))]
-            header = ["x", "cdf"]
+        if args.what == "hazard":
+            hp = hazard(p, xs)
+            header, columns = ["x", "survival", "hazard"], [xs, hp.survival, hp.hazard]
         else:
-            rows = []
-            for x in xs:
-                hp = hazard(p, float(x))
-                rows.append([hp.x, hp.survival, hp.hazard])
-            header = ["x", "survival", "hazard"]
+            func = bg_pdf if args.what == "pdf" else bg_cdf
+            header, columns = ["x", args.what], [xs, func(p, xs)]
+        table = np.column_stack(columns)
         if args.format == "json":
-            payload = {
-                "table": [dict(zip(header, row)) for row in rows],
-                "manifest": manifest,
-            }
-            _emit(_stable_json(payload) + "\n", args.output)
+            rows = [dict(zip(header, row)) for row in table.tolist()]
+            _emit(_stable_json({"table": rows, "manifest": manifest}) + "\n", args.output)
         else:
-            _emit(_csv_table(header, rows), args.output)
-            _write_manifest_sidecar(args.output, manifest)
+            _emit(_csv_text(header, table, "%.12g"), args.output, manifest)
         return EXIT_OK
 
     if args.what == "moments":
@@ -190,8 +182,7 @@ def _cmd_eval(args) -> int:
         keys = list(body)
         scalar = {k: (v if not isinstance(v, list) else ";".join(map(str, v))) for k, v in body.items()}
         text = ",".join(keys) + "\n" + ",".join(str(scalar[k]) for k in keys) + "\n"
-        _emit(text, args.output)
-        _write_manifest_sidecar(args.output, manifest)
+        _emit(text, args.output, manifest)
     else:
         _emit(_stable_json({**body, "manifest": manifest}) + "\n", args.output)
     return EXIT_OK
@@ -211,14 +202,7 @@ def _cmd_sample(args) -> int:
     }, seed=seed)
 
     if args.method == "mh":
-        burn = args.burn_in if args.burn_in is not None else max(args.n // 10, 1)
-        cfg = McmcConfig(
-            n_iterations=args.n + burn,
-            burn_in=burn,
-            proposal_scale=args.scale,
-            seed=seed,
-        )
-        chain = mh_sample(p, cfg)
+        chain = _chain(p, args.n, seed, args.burn_in, args.scale)
         draws = chain.draws
         manifest["acceptance_rate"] = chain.acceptance_rate
         if chain.acceptance_flag:
@@ -226,8 +210,7 @@ def _cmd_sample(args) -> int:
     else:
         draws = representation_sample(p, args.n, seed)
 
-    _emit(_draws_csv_text(draws), args.output)
-    _write_manifest_sidecar(args.output, manifest)
+    _emit(_draws_csv_text(draws), args.output, manifest)
     return EXIT_OK
 
 
@@ -242,9 +225,7 @@ def _cmd_simulate(args) -> int:
     rows = []
     prefix_files = []
     for idx, p in enumerate(SIMULATION_PARAMETER_SETS):
-        burn = max(args.n // 10, 1)
-        cfg = McmcConfig(n_iterations=args.n + burn, burn_in=burn, seed=seed + idx)
-        chain = mh_sample(p, cfg)
+        chain = _chain(p, args.n, seed + idx)
         summ = chain_summary(chain)
         ms = bg_moment_set(p)
         rows.append([
@@ -269,7 +250,7 @@ def _cmd_simulate(args) -> int:
     header = ["mu", "sigma", "delta", "sample_mean", "pop_mean", "bias_mean",
               "sample_var", "pop_var", "bias_var"]
     if args.format == "csv":
-        _emit(_csv_table(header, rows), args.output)
+        text = _csv_text(header, rows, "%.12g")
     else:
         widths = [max(len(h), 12) for h in header]
         lines = [
@@ -279,8 +260,8 @@ def _cmd_simulate(args) -> int:
         for row in rows:
             cells = [f"{v:.4f}".ljust(w) for v, w in zip(row, widths)]
             lines.append("| " + " | ".join(cells) + " |")
-        _emit("\n".join(lines) + "\n", args.output)
-    _write_manifest_sidecar(args.output, manifest)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output, manifest)
     return EXIT_OK
 
 

@@ -264,8 +264,8 @@ def mixture_weights(p: BgParams) -> tuple[float, float, float]:
 def _quantile(p: BgParams, q: float) -> float:
     """Numerical quantile by bracketed root finding on the distribution function.
 
-    Internal helper (used by test oracles); accuracy follows the bracketing
-    tolerance, not a public contract.
+    Internal helper with no caller in the package; only its own tests use
+    it.  Accuracy follows the bracketing tolerance, not a public contract.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly inside (0, 1)")

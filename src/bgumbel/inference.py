@@ -255,9 +255,8 @@ def fisher_information(p: BgParams) -> np.ndarray:
         w = (x - mu) / sg
         u = 1.0 - dl * x
         uu = u * u
-        return x * x * (uu - 1.0) / (uu + 1.0) ** 2 * math.exp(
-            math.log1p(uu) - w - math.exp(-w) - log_norm
-        )
+        # The density's weight 1 + u^2 cancels one factor of (1 + u^2)^2.
+        return x * x * (uu - 1.0) / (uu + 1.0) * math.exp(-w - math.exp(-w) - log_norm)
 
     lo, hi = mu - 40.0 * sg, mu + 250.0 * sg
     res = quad(

@@ -109,10 +109,10 @@ def block_maxima(series: Sequence[float], cfg: BlockMaximaConfig) -> np.ndarray:
         raise InsufficientDataError("empty series")
     n = cfg.block_length
     n_full = x.size // n
-    maxima = [float(x[i * n : (i + 1) * n].max()) for i in range(n_full)]
+    maxima = x[: n_full * n].reshape(n_full, n).max(axis=1)
     if cfg.allow_partial_last_block and x.size % n:
-        maxima.append(float(x[n_full * n :].max()))
-    return np.asarray(maxima)
+        maxima = np.append(maxima, x[n_full * n :].max())
+    return maxima
 
 
 def ljung_box(series: Sequence[float], lags: int) -> tuple[float, float]:

@@ -43,6 +43,7 @@ __all__ = [
 
 _EG = CONSTANTS.euler_gamma
 _ACCEPTANCE_BAND = (0.1, 0.6)
+_BLOCK = 4096  # Metropolis iterations per block of Python floats
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
     """Random-walk Metropolis chain targeting the BG density.
 
     Gaussian increments of standard deviation ``proposal_scale``; the target
-    is evaluated in log space.  Deterministic given the seed.
+    is evaluated in log space.  Deterministic given the seed.  Runs in blocks
+    of ``_BLOCK`` iterations, so no chain-length Python list is ever built.
     """
     n = cfg.n_iterations
     burn = cfg.burn_in if cfg.burn_in is not None else n // 10
@@ -123,8 +125,8 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
     x = p.mu
 
     rng = np.random.default_rng(cfg.seed)
-    steps = rng.normal(0.0, scale, size=n).tolist()
-    log_u = np.log(rng.uniform(size=n)).tolist()
+    steps = rng.normal(0.0, scale, size=n)
+    log_u = np.log(rng.uniform(size=n))
 
     mu, sg, dl = p.mu, p.sigma, p.delta
     log_norm = math.log(sg * normalizer(p))
@@ -136,16 +138,19 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
         return math.log(u * u + 1.0) - w - ew - log_norm
 
     lp = logpdf(x)
-    out = []
+    out = np.empty(n)
     accepted = 0
-    for step, lu in zip(steps, log_u):
-        y = x + step
-        lpy = logpdf(y)
-        if lpy - lp > lu:
-            x, lp = y, lpy
-            accepted += 1
-        out.append(x)
-    return Chain(draws=np.array(out[burn:]), acceptance_rate=accepted / n, seed=cfg.seed)
+    for start in range(0, n, _BLOCK):
+        block, stop = [], start + _BLOCK
+        for step, lu in zip(steps[start:stop].tolist(), log_u[start:stop].tolist()):
+            y = x + step
+            lpy = logpdf(y)
+            if lpy - lp > lu:
+                x, lp = y, lpy
+                accepted += 1
+            block.append(x)
+        out[start:stop] = block
+    return Chain(draws=out[burn:], acceptance_rate=accepted / n, seed=cfg.seed)
 
 
 # ----------------------------------------------------------------------
@@ -207,10 +212,20 @@ def chain_summary(c: Chain | np.ndarray) -> ChainSummary:
     return ChainSummary(mean=float(draws.mean()), variance=var, n=int(draws.size))
 
 
+def _csv_text(header: list[str], rows: np.ndarray, fmt: str) -> str:
+    """CSV text: the header line, then one line per row with every value in ``fmt``.
+
+    ``rows`` holds one column per header name (a 1-D array is one column).
+    The whole flattened table is formatted by one ``%`` on a repeated line.
+    """
+    values = np.asarray(rows, dtype=float).ravel().tolist()
+    line = ",".join([fmt] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * (len(values) // len(header))) % tuple(values)
+
+
 def _draws_csv_text(draws: np.ndarray) -> str:
     """Single-column CSV text with header ``draw``, one ``.17g`` line per draw."""
-    lines = ["draw"] + [f"{float(v):.17g}" for v in np.asarray(draws, dtype=float)]
-    return "\n".join(lines) + "\n"
+    return _csv_text(["draw"], draws, "%.17g")
 
 
 def save_draws_csv(draws: np.ndarray, path: str | Path) -> None:

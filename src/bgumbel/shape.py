@@ -70,11 +70,12 @@ class ShapeReport:
 
 @dataclass(frozen=True)
 class HazardPoint:
-    """Survival and hazard rate at a point."""
+    """Survival and hazard rate at ``x``: floats for a scalar ``x``, arrays for
+    an array ``x`` (compare those with ``np.array_equal``, not ``==``)."""
 
-    x: float
-    survival: float
-    hazard: float
+    x: float | np.ndarray
+    survival: float | np.ndarray
+    hazard: float | np.ndarray
 
 
 def critical_function_g(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -191,14 +192,16 @@ def tail_rate(p: BgParams) -> float:
     return 1.0 / p.sigma
 
 
-def hazard(p: BgParams, x: float) -> HazardPoint:
-    """Survival S(x) = 1 - F(x) and hazard rate f(x) / S(x).
+def hazard(p: BgParams, x: float | np.ndarray) -> HazardPoint:
+    """Survival S(x) = 1 - F(x) and hazard rate f(x) / S(x), vectorized over ``x``.
 
     The survival comes from :func:`~bgumbel.distribution.bg_sf`, accurate in
     relative terms in the far right tail.  Only where it underflows to 0 is
     the hazard reported at its tail limit 1/sigma.
     """
     surv = bg_sf(p, x)
-    if surv == 0.0:
-        return HazardPoint(x=x, survival=0.0, hazard=tail_rate(p))
-    return HazardPoint(x=x, survival=surv, hazard=bg_pdf(p, x) / surv)
+    # The density is discarded where the survival underflows (it is nan at x = inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = bg_pdf(p, x)
+    rate = np.divide(dens, surv, out=np.full_like(surv, tail_rate(p)), where=surv != 0.0)
+    return HazardPoint(x=x, survival=surv, hazard=rate if rate.ndim else float(rate))

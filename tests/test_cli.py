@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bgumbel import BgParams, bg_pdf
+from bgumbel import BgParams, bg_pdf, hazard
 from bgumbel.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -76,6 +76,17 @@ class TestEval:
                     "--what", "pdf", "--grid=-8:60:1001"]) == EXIT_OK
         rows = [f"{x:.12g},{float(bg_pdf(p, float(x))):.12g}" for x in np.linspace(-8, 60, 1001)]
         assert capsys.readouterr().out == "\n".join(["x,pdf", *rows]) + "\n"
+
+    def test_hazard_grid_matches_per_point(self, capsys):
+        # One array call to hazard prints exactly what a per-point loop
+        # would, out past the point where the survival underflows.
+        p = BgParams(1.0, 1.0, 2.0)
+        assert run(["eval", "--mu", "1", "--sigma", "1", "--delta", "2",
+                    "--what", "hazard", "--grid=-8:800:2001"]) == EXIT_OK
+        pts = [hazard(p, float(x)) for x in np.linspace(-8, 800, 2001)]
+        rows = [f"{h.x:.12g},{h.survival:.12g},{h.hazard:.12g}" for h in pts]
+        assert pts[-1].survival == 0.0
+        assert capsys.readouterr().out == "\n".join(["x,survival,hazard", *rows]) + "\n"
 
     def test_hazard_table_columns(self, capsys):
         assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "0",

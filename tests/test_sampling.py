@@ -17,6 +17,7 @@ from bgumbel import (
     representation_sample,
     save_draws_csv,
 )
+from bgumbel.sampling import _draws_csv_text
 from helpers import cdf_interpolator, ks_distance_to_cdf
 
 ROW1 = BgParams(-2, 1, -1)
@@ -183,3 +184,9 @@ class TestCsvExport:
         assert lines[0] == "draw"
         back = np.array([float(v) for v in lines[1:]])
         np.testing.assert_array_equal(back, draws)
+
+    def test_text_matches_per_value_format(self):
+        values = np.array([0.1, -0.0, 5e-324, 1e300, 1.2345e17, -2.5, 1.0 / 3.0])
+        expected = "draw\n" + "".join(f"{v:.17g}\n" for v in values.tolist())
+        assert _draws_csv_text(values) == expected
+        assert _draws_csv_text(np.array([])) == "draw\n"

@@ -182,6 +182,30 @@ class TestHazard:
         hp = hazard(p, 80.0)
         assert hp.hazard == 1.0
 
+    @pytest.mark.parametrize("p", [
+        BgParams(0.0, 1.0, 0.0),
+        BgParams(1.0, 1.0, 2.0),
+        BgParams(-1.0, 1.5, -0.8),
+        BgParams(30.0, 0.5, 0.1),
+    ])
+    def test_array_matches_scalar_calls(self, p):
+        # The grid runs past mu + 745 sigma, where the survival underflows to 0.
+        xs = np.linspace(p.mu - 8.0 * p.sigma, p.mu + 800.0 * p.sigma, 1501)
+        hp = hazard(p, xs)
+        pts = [hazard(p, float(x)) for x in xs]
+        assert np.array_equal(hp.x, xs)
+        assert np.array_equal(hp.survival, [h.survival for h in pts])
+        assert np.array_equal(hp.hazard, [h.hazard for h in pts])
+        assert hp.survival[-1] == 0.0 and hp.hazard[-1] == tail_rate(p)
+        assert all(type(v) is float for h in pts[::100] for v in (h.survival, h.hazard))
+
+    def test_infinite_and_nan_points(self):
+        # x = inf takes the tail limit without a warning; a nan point stays nan.
+        p = BgParams(0.0, 2.0, 1.0)
+        hp = hazard(p, np.array([np.inf, np.nan, 1e300]))
+        assert hp.hazard[0] == hp.hazard[2] == 0.5 and math.isnan(hp.hazard[1])
+        assert hazard(p, math.inf).hazard == 0.5 and math.isnan(hazard(p, math.nan).hazard)
+
     def test_nonnegative_and_survival_decreasing(self):
         p = BgParams(-1.0, 1.5, -0.8)
         xs = np.linspace(-6, 12, 60)
