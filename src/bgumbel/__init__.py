@@ -32,7 +32,6 @@ from .errors import (
     DegenerateWeightError,
     DivergentIntegralError,
     InsufficientDataError,
-    QuadratureError,
     RegimeError,
     RootIsolationError,
 )
@@ -82,9 +81,7 @@ from .shape import (
 )
 from .special import (
     CONSTANTS,
-    DEFAULT_QUADRATURE,
     Constants,
-    QuadratureSpec,
     digamma,
     gamma_deriv,
     incomplete_log_moment,
@@ -101,7 +98,7 @@ __all__ = [
     "BgParams", "GumbelParams", "MomentSet", "ShapeReport", "HazardPoint",
     "ConditionCReport", "FitResult", "FitDiagnostics", "LocalMaximum", "McmcConfig", "Chain", "ChainSummary",
     "BlockMaximaConfig", "GofReport", "ModelComparison", "DescriptiveStats",
-    "Constants", "QuadratureSpec", "CONSTANTS", "DEFAULT_QUADRATURE",
+    "Constants", "CONSTANTS",
     # distribution
     "normalizer", "bg_pdf", "bg_log_pdf", "bg_cdf", "bg_sf", "weighted_gumbel_cdf",
     "mixture_weights", "bg_moment", "bg_moment_set", "bg_mgf", "bg_exp_moment",
@@ -121,7 +118,7 @@ __all__ = [
     "upper_incomplete_gamma", "incomplete_log_moment", "log_moment_constant",
     "digamma", "trigamma", "gamma_deriv",
     # errors
-    "BGumbelError", "QuadratureError", "DivergentIntegralError",
+    "BGumbelError", "DivergentIntegralError",
     "DegenerateWeightError", "RegimeError", "RootIsolationError",
     "DegenerateDataError", "InsufficientDataError",
 ]

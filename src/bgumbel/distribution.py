@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .special import CONSTANTS, _log_poly_gamma, _roots, log_weight_shares
+from .special import CONSTANTS, _log_poly_gamma, log_weight_shares
 
 __all__ = [
     "BgParams",
@@ -168,17 +168,31 @@ def gumbel_moment(p: GumbelParams, k: int) -> float:
 # ----------------------------------------------------------------------
 
 def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Log density; finite (no overflow) for |x - mu| / sigma up to 700."""
+    """Log density; finite (no overflow) for |x - mu| / sigma up to 700.
+
+    -inf where the density underflows, at x = +-inf included; nan only for
+    a nan ``x``.
+    """
     xv = np.asarray(x, dtype=float)
     w = (xv - p.mu) / p.sigma
     u = 1.0 - p.delta * xv
-    with np.errstate(over="ignore"):
-        out = np.log1p(u * u) - w - np.exp(-w) - math.log(p.sigma * normalizer(p))
+    log_z = math.log(p.sigma * normalizer(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.log1p(u * u) - w - np.exp(-w) - log_z
+        # +inf or nan only where u^2 overflowed or x is +-inf; redone only
+        # then, so the common case pays one comparison.  From |u| = 1e150 on,
+        # ln(1 + u^2) is 2 ln|u| up to rounding.  A nan left over is
+        # inf - inf at x = +-inf, where the density is 0.
+        if not (out < np.inf).all():
+            au = np.abs(u)
+            log_weight = np.where(au < 1e150, np.log1p(u * u), 2.0 * np.log(np.maximum(au, 1e150)))
+            out = log_weight - w - np.exp(-w) - log_z
+            out = np.where(np.isnan(out) & ~np.isnan(xv), -np.inf, out)
     return out if out.ndim else float(out)
 
 
 def bg_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Density of the BG distribution; strictly positive for all finite x."""
+    """Density of the BG distribution; 0 only where it underflows, at x = +-inf included."""
     out = np.exp(bg_log_pdf(p, x))
     return out if np.ndim(out) else float(out)
 
@@ -259,17 +273,6 @@ def mixture_weights(p: BgParams) -> tuple[float, float, float]:
     p2 = -2.0 * m * p.delta / z
     p3 = (p.sigma**2 * _PI**2 / 6.0 + m * m) * p.delta**2 / z
     return p1, p2, p3
-
-
-def _quantile(p: BgParams, q: float) -> float:
-    """Numerical quantile by bracketed root finding on the distribution function.
-
-    Internal helper with no caller in the package; only its own tests use
-    it.  Accuracy follows the bracketing tolerance, not a public contract.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
-    return _roots(lambda t: bg_cdf(p, t) - q, np.array(_bracket(p, q, q)))[0][0]
 
 
 def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:

@@ -6,18 +6,6 @@ class BGumbelError(Exception):
     """Base class for all package-specific errors."""
 
 
-class QuadratureError(BGumbelError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the value computed so far and the achieved error estimate.
-    """
-
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(f"{message} (value={value!r}, error_estimate={error_estimate!r})")
-        self.value = value
-        self.error_estimate = error_estimate
-
-
 class DivergentIntegralError(BGumbelError, ValueError):
     """The requested integral diverges (e.g. the exponential integral at 0)."""
 

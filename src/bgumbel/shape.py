@@ -9,7 +9,7 @@ roots r1 < r2 < r3: the outer two are modes, the middle one the antimode.
 A sufficient condition set C on (mu, sigma, delta), together with an
 x-interval D on which g is strictly increasing, guarantees that root
 structure; both are evaluated here as diagnostics alongside a fully general
-grid-plus-bisection root search.
+grid-plus-``brentq`` root search.
 """
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ def d_interval(p: BgParams) -> tuple[float, float] | None:
     Condition 1 forces delta > 1, and h < 0 needs (1 - delta x)^2 < 1, so D
     lies in (0, 2/delta).  At both ends (1 - delta x)^2 = 1 and h > 0, so
     D runs from the first to the last sign change of h on a 16385-point
-    grid of that interval, each refined by bisection; returns None when h
+    grid of that interval, each refined by ``brentq``; returns None when h
     has no sign change.
     """
     if not check_condition_c(p).holds:
@@ -144,7 +144,7 @@ def find_modes(p: BgParams) -> ShapeReport:
 
     Works for arbitrary valid parameters; the condition-set diagnostics are
     reported but never gate the search.  Roots are bracketed on an adaptive
-    grid and refined by bisection; a sign change + -> - marks a mode and
+    grid and refined by ``brentq``; a sign change + -> - marks a mode and
     - -> + marks the antimode.
     """
     for n in _GRID_SIZES:
@@ -200,8 +200,6 @@ def hazard(p: BgParams, x: float | np.ndarray) -> HazardPoint:
     the hazard reported at its tail limit 1/sigma.
     """
     surv = bg_sf(p, x)
-    # The density is discarded where the survival underflows (it is nan at x = inf).
-    with np.errstate(over="ignore", invalid="ignore"):
-        dens = bg_pdf(p, x)
+    dens = bg_pdf(p, x)
     rate = np.divide(dens, surv, out=np.full_like(surv, tail_rate(p)), where=surv != 0.0)
     return HazardPoint(x=x, survival=surv, hazard=rate if rate.ndim else float(rate))

@@ -1,22 +1,18 @@
-"""Scalar special functions and quadrature shared by every other module.
+"""Special functions and the two kernels shared by every other module.
 
 The central object is the incomplete log-moment integral
 
     I(k; a, b) = (-1)^k * integral_a^b ln(v)^k exp(-v) dv,   0 <= a < b <= inf,
 
 which appears in every raw moment of the quadratically weighted Gumbel
-model.  Substituting v = exp(-s) turns it into a smooth moment integral of
-the standard Gumbel density,
-
-    I(k; a, b) = integral_{-ln b}^{-ln a} s^k exp(-s - exp(-s)) ds,
-
-which removes the logarithmic endpoint singularity at v = 0 and maps the
-exponential tail onto a doubly-exponential one.  The adaptive quadrature of
-:func:`incomplete_log_moment` runs on that transformed domain.  The
-distribution functions use the vectorized :func:`log_weight_shares` instead,
-and every complete moment the private :func:`_log_poly_gamma`.  The private
-:func:`_roots` is the one bracketed root search of the package (modes,
-the interval D and quantiles).
+model.  The package computes it, and every weighted version of it, with one
+vectorized kernel, :func:`log_weight_shares`: for a polynomial weight q(ln v)
+of degree at most 6 it gives the shares of int_0^inf q(ln v) e^-v dv above
+and below z, by Gauss-Laguerre for z >= 2 and a power series below.  The
+distribution functions and :func:`incomplete_log_moment` are wrappers over
+it.  Every complete integral, hence every moment, comes from the private
+:func:`_log_poly_gamma`.  The private :func:`_roots` is the one bracketed
+root search of the package (the modes and the interval D).
 """
 from __future__ import annotations
 
@@ -25,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DivergentIntegralError, QuadratureError
+from .errors import DivergentIntegralError
 
 __all__ = [
     "Constants",
     "CONSTANTS",
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "upper_incomplete_gamma",
     "incomplete_log_moment",
     "log_weight_shares",
@@ -87,28 +80,6 @@ _LOG_MOMENT_CONSTANTS = (
 _GAMMA_DERIVS_AT_1 = tuple((-1.0) ** j * c for j, c in enumerate(_LOG_MOMENT_CONSTANTS))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("abs_tol and rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-# Below s = -38 the transformed integrand exp(-s - exp(-s)) underflows to 0;
-# above s = 60 + 12k the factor s^k exp(-s) is < 1e-40.
-_S_FLOOR = -38.0
-
-
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma function Gamma(a, x) = int_x^inf t^(a-1) e^-t dt.
 
@@ -128,155 +99,122 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     return float(sc.gammaincc(a, x) * sc.gamma(a))
 
 
-def _transformed_bounds(k: int, a: float, b: float) -> tuple[float, float]:
-    """Map (a, b) in v-space to clipped integration bounds in s-space."""
-    s_hi = -math.log(a) if a > 0.0 else math.inf
-    s_lo = -math.log(b) if math.isfinite(b) else -math.inf
-    s_lo = max(s_lo, _S_FLOOR)
-    s_hi = min(s_hi, 60.0 + 12.0 * k)
-    return s_lo, s_hi
-
-
-def incomplete_log_moment(
-    k: int,
-    a: float,
-    b: float = math.inf,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Incomplete log-moment integral I(k; a, b) = (-1)^k int_a^b ln(v)^k e^-v dv.
-
-    Closed forms are used for k = 0 and k = 1:
-
-        I(0; a, inf) = exp(-a)
-        I(1; a, inf) = -exp(-a) ln(a) - Gamma(0, a),  with I(1; 0, inf) = euler_gamma
-
-    and finite upper limits are handled as differences of the upper forms.
-    Orders k >= 2 fall back to adaptive quadrature on the Gumbel-transformed
-    domain (see module docstring), controlled by ``spec``.
-    """
-    if k < 0 or int(k) != k:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
-    if a < 0 or not a < b:
-        raise ValueError(f"require 0 <= a < b, got a={a}, b={b}")
-    k = int(k)
-
-    if k == 0:
-        upper = 0.0 if not math.isfinite(b) else math.exp(-b)
-        return math.exp(-a) - upper
-    if k == 1:
-        return _log_moment_order1(a) - (_log_moment_order1(b) if math.isfinite(b) else 0.0)
-
-    s_lo, s_hi = _transformed_bounds(k, a, b)
-    if s_lo >= s_hi:
-        return 0.0
-
-    def integrand(s: float) -> float:
-        return s**k * math.exp(-s - math.exp(-s))
-
-    # Interior break points help the subdivision find the bulk quickly
-    # (quad needs the subdivision budget to exceed the break-point count).
-    pts = [p for p in (0.0, 1.0, float(k), float(3 * k + 5)) if s_lo < p < s_hi]
-    if len(pts) >= spec.max_subdivisions:
-        pts = []
-    result = quad(
-        integrand,
-        s_lo,
-        s_hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        points=pts or None,
-        full_output=1,
-    )
-    value, abserr = result[0], result[1]
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-    if len(result) > 3 or abserr > 100.0 * tol:
-        raise QuadratureError(
-            f"I({k}; {a}, {b}) did not converge to tolerance", value, abserr
-        )
-    return float(value)
-
-
-def _log_moment_order1(a: float) -> float:
-    """I(1; a, inf), with the a -> 0 limit handled without evaluating ln(0)."""
-    if a == 0.0:
-        return _EG
-    return -math.exp(-a) * math.log(a) - upper_incomplete_gamma(0.0, a)
-
-
 _SPLIT = 2.0  # z from which log_weight_shares sums Gauss-Laguerre nodes
 _BLOCK = 256  # points per block: keeps the (points x nodes) temporaries small
 _Z_MAX = 800.0  # exp(-z) is 0.0 from z = 746 on
 _LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
-# Series terms (-1)^n / n! int_0^z v^n ln^j v dv with m = n + 1; the 30th
-# term is below 1e-23 of the sum for z < 2.
+# Series factors (-1)^n / n! * (-1)^i / m^(i+1) with m = n + 1, for the i-th
+# derivative of the weight, i = 0..6; the 30th term is below 1e-23 of the
+# sum for z < 2.
 _M = np.arange(1.0, 31.0)
 _SIGNED_INV_FACT = np.array([(-1.0) ** n / math.factorial(n) for n in range(30)])
-_R1 = _SIGNED_INV_FACT / _M
-_R2 = _SIGNED_INV_FACT / _M**2
-_R3 = 2.0 * _SIGNED_INV_FACT / _M**3
+_SERIES_R = tuple((-1.0) ** i * _SIGNED_INV_FACT / _M ** (i + 1) for i in range(7))
 
 
-def _upper_laguerre(q: tuple[float, float, float], z: np.ndarray) -> np.ndarray:
-    """int_z^inf w(v) e^-v dv = e^-z int_0^inf w(z + t) e^-t dt, for z >= 2."""
-    q0, q1, q2 = q
+def _horner(c: tuple[float, ...], x: np.ndarray) -> np.ndarray | float:
+    """c[0] + c[1] x + c[2] x^2 + ... by Horner's rule."""
+    out = c[-1]
+    for ci in c[-2::-1]:
+        out = out * x + ci
+    return out
+
+
+def _derivatives(q: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """Coefficients of q, q', q'', ... down to the constant derivative."""
+    out = [q]
+    while len(q) > 1:
+        q = tuple([j * q[j] for j in range(1, len(q))])
+        out.append(q)
+    return out
+
+
+def _upper_laguerre(q: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    """int_z^inf q(ln v) e^-v dv = e^-z int_0^inf q(ln(z + t)) e^-t dt, for z >= 2."""
     ell = np.log(z[:, None] + _LAGUERRE_T)
-    w = q0 + ell * (q1 + q2 * ell)
-    return np.exp(-z) * (w * _LAGUERRE_W).sum(axis=1)
+    return np.exp(-z) * (_horner(q, ell) * _LAGUERRE_W).sum(axis=1)
 
 
-def _lower_series(q: tuple[float, float, float], z: np.ndarray) -> np.ndarray:
-    """int_0^z w(v) e^-v dv by the power series of e^-v, for 0 <= z < 2.
+def _lower_series(derivs: list[tuple[float, ...]], z: np.ndarray) -> np.ndarray:
+    """int_0^z q(ln v) e^-v dv by the power series of e^-v, for 0 <= z < 2.
 
-    With L = ln z the n-th term is (-1)^n/n! z^m [w(z)/m - z w'(z)/m^2 + 2 q2/m^3].
+    With m = n + 1 and L = ln z, int_0^z v^n q(ln v) dv is
+    z^m sum_i (-1)^i q^(i)(L) / m^(i+1); the n-th term carries (-1)^n / n!.
+    ``derivs`` holds the coefficients of q, q', q'', ...
     """
-    q0, q1, q2 = q
     ln_z = np.log(np.where(z > 0.0, z, 1.0))[:, None]  # z = 0 gives 0 below
-    w = q0 + ln_z * (q1 + q2 * ln_z)
-    zw = q1 + 2.0 * q2 * ln_z
-    return (z[:, None] ** _M * (w * _R1 - zw * _R2 + q2 * _R3)).sum(axis=1)
+    terms = _horner(derivs[0], ln_z) * _SERIES_R[0]
+    for d, r in zip(derivs[1:], _SERIES_R[1:]):
+        terms = terms + _horner(d, ln_z) * r
+    return (z[:, None] ** _M * terms).sum(axis=1)
 
 
-def _blocked(part, q, z: np.ndarray) -> np.ndarray:
+def _blocked(part, coef, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     for i in range(0, z.size, _BLOCK):
-        out[i : i + _BLOCK] = part(q, z[i : i + _BLOCK])
+        out[i : i + _BLOCK] = part(coef, z[i : i + _BLOCK])
     return out
 
 
 def log_weight_shares(
-    q: tuple[float, float, float], z: float | np.ndarray
+    q: tuple[float, ...], z: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Upper and lower shares of the log-polynomial-weighted exponential integral.
 
-    For the weight w(v) = q0 + q1 ln v + q2 ln^2 v and z >= 0 (elementwise),
+    For the weight w(v) = q(ln v) = q0 + q1 ln v + ... + qd ln^d v, d <= 6,
+    and z >= 0 (elementwise),
 
         upper = int_z^inf w(v) e^-v dv / T,   lower = int_0^z w(v) e^-v dv / T,
 
-    with T = int_0^inf w(v) e^-v dv = q0 - q1 euler_gamma + q2 I(2; 0, inf).
-    For z >= 2 the upper integral is e^-z times a 40-node Gauss-Laguerre sum
-    of w(z + t); for z < 2 the lower integral is the power series
-    sum_n (-1)^n/n! int_0^z v^n w(v) dv.  Each regime gets the other part
-    as T minus its own.  For the positive weights of the distribution
-    functions that difference is never small (the lower part holds most of
-    T from z = 2 on, the upper part a few percent or more below it), so it
-    costs at most about one digit.  The part computed directly keeps its
-    relative accuracy down to the smallest normal numbers: upper in the left
-    tail of X = mu - sigma ln V, lower in the right tail.
+    with T = int_0^inf w(v) e^-v dv = sum_j qj Gamma^(j)(1), which must not
+    be 0.  For z >= 2 the upper integral is e^-z times a 40-node
+    Gauss-Laguerre sum of w(z + t); for z < 2 the lower integral is the
+    power series sum_n (-1)^n/n! int_0^z v^n w(v) dv.  Each regime gets the
+    other part as T minus its own.  For the positive weights of the
+    distribution functions that difference is never small (the lower part
+    holds most of T from z = 2 on, the upper part a few percent or more
+    below it), so it costs at most about one digit.  The part computed
+    directly keeps its relative accuracy down to the smallest normal
+    numbers: upper in the left tail of X = mu - sigma ln V, lower in the
+    right tail.  A signed weight (ln^k v for odd k, say) can make a part
+    itself pass through 0; near there only the absolute accuracy, about
+    1e-16 |T|, holds.
 
     Returns two arrays of the shape of ``z`` (0-d for a scalar).
     """
-    q = tuple(float(c) for c in q)
+    q = tuple(map(float, q))
     total = _log_poly_gamma(q)
     zs = np.minimum(np.asarray(z, dtype=float), _Z_MAX)
     flat = zs.ravel()
     far = flat >= _SPLIT
+    near = ~far
     upper, lower = np.empty_like(flat), np.empty_like(flat)
-    upper[far] = _blocked(_upper_laguerre, q, flat[far])
-    lower[far] = total - upper[far]
-    lower[~far] = _blocked(_lower_series, q, flat[~far])
-    upper[~far] = total - lower[~far]
+    part = _blocked(_upper_laguerre, q, flat[far])
+    upper[far], lower[far] = part, total - part
+    part = _blocked(_lower_series, _derivatives(q), flat[near])
+    lower[near], upper[near] = part, total - part
     return (upper / total).reshape(zs.shape), (lower / total).reshape(zs.shape)
+
+
+def incomplete_log_moment(k: int, a: float, b: float = math.inf) -> float:
+    """Incomplete log-moment integral I(k; a, b) = (-1)^k int_a^b ln(v)^k e^-v dv, k = 0..6.
+
+    k = 0 is exp(-a) - exp(-b).  For k >= 1, with s the upper share of the
+    weight ln^k v (:func:`log_weight_shares`),
+
+        I(k; a, b) = I(k; 0, inf) * (s(a) - s(b)),
+
+    so I(k; 0, inf) is exactly :func:`log_moment_constant` and I(k; a, inf)
+    keeps its relative accuracy in the far tail a -> inf.
+    """
+    if int(k) != k or not 0 <= k <= 6:
+        raise ValueError(f"k must be an integer in 0..6, got {k}")
+    if a < 0 or not a < b:
+        raise ValueError(f"require 0 <= a < b, got a={a}, b={b}")
+    k = int(k)
+    if k == 0:
+        return math.exp(-a) - math.exp(-b)
+    s = log_weight_shares((0.0,) * k + (1.0,), np.array([a, b]))[0]
+    return float(log_moment_constant(k) * (s[0] - s[1]))
 
 
 def log_moment_constant(k: int) -> float:

@@ -23,7 +23,6 @@ from bgumbel import (
     normalizer,
     weighted_gumbel_cdf,
 )
-from bgumbel.distribution import _quantile
 from helpers import quad_cdf, random_params
 
 EG = CONSTANTS.euler_gamma
@@ -382,14 +381,3 @@ class TestMgfAndExpMoments:
         val = quad_expectation(p, lambda x: x**2 * math.exp(-3.0 * x), lo_sig=40, hi_sig=40)
         assert bg_exp_moment(p, 2, -3.0) == pytest.approx(val, rel=1e-9)
 
-
-class TestQuantileHelper:
-    def test_roundtrip(self):
-        p = BgParams(1, 1, 2)
-        for q in (0.01, 0.3, 0.5, 0.9, 0.999):
-            x = _quantile(p, q)
-            assert bg_cdf(p, x) == pytest.approx(q, abs=1e-9)
-
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            _quantile(BgParams(0, 1, 0), 1.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bgumbel import (
     CONSTANTS,
     DivergentIntegralError,
-    QuadratureSpec,
     digamma,
     gamma_deriv,
     incomplete_log_moment,
@@ -30,20 +29,6 @@ class TestConstants:
         assert abs(CONSTANTS.zeta3 - float(mp.zeta(3))) < 1e-16
         assert abs(CONSTANTS.zeta5 - float(mp.zeta(5))) < 1e-16
         assert CONSTANTS.pi == math.pi
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-12 and spec.rel_tol == 1e-10
-        assert spec.max_subdivisions == 200
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"abs_tol": 0.0}, {"rel_tol": -1e-3}, {"max_subdivisions": 0}]
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
 
 
 class TestUpperIncompleteGamma:
@@ -127,14 +112,26 @@ class TestIncompleteLogMoment:
             incomplete_log_moment(2, 2.0, 1.0)
         with pytest.raises(ValueError):
             incomplete_log_moment(-1, 0.0)
+        with pytest.raises(ValueError):
+            incomplete_log_moment(7, 1.0)
 
-    def test_nonconvergence_carries_error_estimate(self):
-        from bgumbel import QuadratureError
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_upper_tail_against_mpmath(self, k):
+        # Oracle: (-1)^k e^-a int_0^inf ln^k(a + t) e^-t dt at 40 digits,
+        # split where ln(a + t) changes sign.
+        import mpmath as mp
 
-        starved = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        with pytest.raises(QuadratureError) as exc:
-            incomplete_log_moment(4, 0.0, spec=starved)
-        assert exc.value.error_estimate > 0
+        with mp.workdps(40):
+            for a in (1e-200, 1e-3, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 600.0):
+                am = mp.mpf(a)
+                cuts = [c for c in (1 - am, mp.mpf(1), mp.mpf(10), mp.mpf(100)) if c > 0]
+                pts = sorted({mp.mpf(0), *cuts}) + [mp.inf]
+                want = (-1) ** k * mp.exp(-am) * mp.quad(lambda t: mp.log(am + t) ** k * mp.exp(-t), pts)
+                assert incomplete_log_moment(k, a) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_full_range_is_the_constant_exactly(self, k):
+        assert incomplete_log_moment(k, 0.0) == log_moment_constant(k)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -164,6 +161,15 @@ class TestLogMomentConstants:
     @pytest.mark.parametrize("k", range(7))
     def test_all_orders_agree_with_quadrature(self, k):
         assert abs(log_moment_constant(k) - incomplete_log_moment(k, 0.0)) < 1e-8
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_against_mpmath(self, k):
+        # I(k; 0, inf) = (-1)^k Gamma^(k)(1).
+        import mpmath as mp
+
+        with mp.workdps(40):
+            want = (-1) ** k * mp.diff(mp.gamma, 1, k)
+        assert log_moment_constant(k) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):

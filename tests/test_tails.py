@@ -7,6 +7,7 @@ and Z = int_0^inf w(v) e^-v dv, so neither tail is a difference of nearly
 equal numbers.
 """
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from bgumbel import (
     BgParams,
     HazardPoint,
     bg_cdf,
+    bg_log_pdf,
     bg_pdf,
     bg_sf,
     compare_models,
@@ -82,6 +84,20 @@ def test_hazard_tail_limit_only_where_survival_underflows():
     hp = hazard(p, 700.0)
     assert 0.0 < hp.survival < 1e-300
     assert hp.hazard == pytest.approx(1.0, rel=1e-12)
+
+
+def test_density_is_zero_at_huge_and_infinite_x():
+    # (1 - delta x)^2 overflows from |x| = 1.3e154 on, and x = +-inf gives inf - inf.
+    p = BgParams(0.0, 1.0, 1.0)
+    xs = np.array([1e155, 1e200, np.inf, -np.inf, -1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(bg_pdf(p, xs), np.zeros(5))
+        assert [bg_pdf(p, float(x)) for x in xs] == [0.0] * 5
+        assert np.all(bg_log_pdf(p, xs) < -1e150)
+        assert math.isnan(bg_pdf(p, math.nan))
+        assert np.isnan(bg_pdf(p, np.array([0.0, np.nan]))[1])
+        assert np.array_equal(hazard(p, np.array([-np.inf, np.inf])).hazard, [0.0, 1.0])
 
 
 def test_array_and_scalar_agree_bit_for_bit():
