@@ -16,8 +16,10 @@ delta enters l only through B, which holds no (mu, sigma), and through ln Z.
 So the fit is a profile-likelihood search: the profile
 l_p(delta) = max over (mu, sigma) of l is computed on a grid of delta, and
 each local maximum of the grid (the likelihood can hold several in delta) is
-polished in all three parameters.  Both use one damped Newton (`_newton`),
-2x2 with delta and B held fixed, 3x3 otherwise.
+polished in all three parameters.  The profile runs one 2x2 damped Newton
+per grid point, all in lockstep on arrays of rows (`_profile`, with G's sums
+from the row kernel `_g_sums`); the polish runs the scalar damped Newton
+`_newton` in 3x3.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from operator import mul
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distribution import BgParams, _expect
 from .errors import DegenerateDataError, InsufficientDataError
@@ -64,8 +65,15 @@ _MAX_ITER, _TOL = 500, 1e-9
 _POLISH_STEPS = 40
 # Two maxima closer than chi2_1(0.95) / 2 in log likelihood leave delta weakly identified.
 _WEAK_GAP = 0.5 * 3.841458820694124
-# Adaptive quadrature of the E[F4] term of fisher_information.
-_F4_ABS_TOL, _F4_REL_TOL, _F4_LIMIT = 1e-12, 1e-10, 200
+# Elements per block of the row kernel `_g_sums`: 81 x n temporaries of a
+# large sample leave the cache, and fresh large arrays cost page faults.
+_CHUNK = 1 << 14
+# E[F4] of fisher_information (`_f4_integral`): 24-point Gauss-Legendre
+# panels in s = ln V on [-45, 6.8], split at fixed breaks and at s0 +- 2^j h,
+# j = -2..5, around the poles s0 +- i h of 1 / (1 + u^2).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_PANEL_BREAKS = (-45.0, -30.0, -18.0, -10.0, -5.0, -2.0, 0.0, 1.5, 3.0, 4.5, 6.8)
+_POLE_CUTS = 2.0 ** np.arange(-2, 6)
 
 
 class LocalMaximum(NamedTuple):
@@ -87,7 +95,8 @@ class FitDiagnostics:
 
     ``profile_loglik[k]`` is the profile log likelihood at ``delta_grid[k]``.
     ``maxima`` holds every distinct polished local maximum, highest first.
-    ``inner_steps`` counts the 2x2 Newton steps of the profile.
+    ``inner_steps`` counts the 2x2 Newton steps of the profile, summed over
+    the grid points (and the ``init`` start, when given).
     ``weakly_identified`` is set when the top two maxima differ by less than
     chi2_1(0.95) / 2 ~ 1.92 in log likelihood.
     """
@@ -127,11 +136,12 @@ def _as_data(data) -> np.ndarray:
     return x
 
 
-def _log_z(mu: float, sg: float, dl: float) -> tuple[float, tuple, tuple]:
-    """ln Z with its gradient and Hessian in (mu, t = ln sigma, delta).
+def _log_z(mu, sg, dl) -> tuple:
+    """Z with the gradient and Hessian of ln Z in (mu, t = ln sigma, delta).
 
     Z = 1 + (delta sigma pi)^2 / 6 + a^2 with a = delta m - 1 and
     m = mu + sigma gamma; the derivatives of ln Z are those of Z over Z.
+    Elementwise, so it takes floats or arrays of rows alike.
     """
     c = _PI**2 / 3.0
     m = mu + sg * _EG
@@ -143,7 +153,7 @@ def _log_z(mu: float, sg: float, dl: float) -> tuple[float, tuple, tuple]:
     h01 = 2.0 * d2 * _EG * sg / z - g0 * g1
     h02 = (4.0 * dl * m - 2.0) / z - g0 * g2
     h12 = sg * (2.0 * dl * sg * c + 4.0 * dl * _EG * m - 2.0 * _EG) / z - g1 * g2
-    return math.log(z), (g0, g1, g2), (
+    return z, (g0, g1, g2), (
         (2.0 * d2 / z - g0 * g0, h01, h02),
         (h01, (z_t + d2 * sg * sg * (c + 2.0 * _EG**2)) / z - g1 * g1, h12),
         (h02, h12, (sg * sg * c + 2.0 * m * m) / z - g2 * g2),
@@ -161,8 +171,8 @@ def _to_sigma(g, h, sg: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _z_first_derivs(p: BgParams) -> tuple[float, float, float]:
     """dZ/dmu, dZ/dsigma, dZ/ddelta."""
-    lz, g, h = _log_z(p.mu, p.sigma, p.delta)
-    return tuple(math.exp(lz) * _to_sigma(g, h, p.sigma)[0])
+    z, g, h = _log_z(p.mu, p.sigma, p.delta)
+    return tuple(z * _to_sigma(g, h, p.sigma)[0])
 
 
 def _b_terms(x: np.ndarray, dl: float, derivs: bool = True) -> tuple[float, float, float]:
@@ -177,6 +187,23 @@ def _b_terms(x: np.ndarray, dl: float, derivs: bool = True) -> tuple[float, floa
         return bv, math.nan, math.nan
     q = 1.0 / (1.0 + uu)
     return bv, -2.0 * float(x @ (u * q)), 2.0 * float((x * x) @ ((1.0 - uu) * q * q))
+
+
+def _mu_t_terms(n: int, sg, t, sums, z_terms, bv) -> tuple:
+    """l with its gradient and Hessian in (mu, t = ln sigma), elementwise.
+
+    ``sums`` = (sum e, sum w e, sum w^2 e, sum w), ``z_terms`` = (ln Z, its
+    gradient, its Hessian) at (mu, sigma = exp(t)) and ``bv`` = B; floats or
+    arrays of rows alike.
+    """
+    s0, s1, s2, sw = sums
+    lz, (g0, g1, _), ((h00, h01, _), (_, h11, _), _) = z_terms
+    h_mt = (s0 - s1 - n) / sg - n * h01
+    return (
+        bv - n * lz - n * t - sw - s0,
+        ((n - s0) / sg - n * g0, sw - s1 - n - n * g1),
+        ((-s0 / (sg * sg) - n * h00, h_mt), (h_mt, s1 - sw - s2 - n * h11)),
+    )
 
 
 def _terms(
@@ -195,21 +222,43 @@ def _terms(
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(-w)
         we = w * e
-        s0, s1, s2 = float(e.sum()), float(we.sum()), float(we @ w)
-    sw = float(w.sum())
+        sums = float(e.sum()), float(we.sum()), float(we @ w), float(w.sum())
     bv, b1, b2 = _b_terms(x, dl) if b is None else b
-    lz, (g0, g1, g2), ((h00, h01, h02), (_, h11, h12), (_, _, h22)) = _log_z(mu, sg, dl)
-    h_mt = (s0 - s1 - n) / sg - n * h01
-    h_md, h_td = -n * h02, -n * h12
-    return (
-        bv - n * lz - n * math.log(sg) - sw - s0,
-        ((n - s0) / sg - n * g0, sw - s1 - n - n * g1, b1 - n * g2),
-        (
-            (-s0 / (sg * sg) - n * h00, h_mt, h_md),
-            (h_mt, s1 - sw - s2 - n * h11, h_td),
-            (h_md, h_td, b2 - n * h22),
-        ),
+    z, gz, hz = _log_z(mu, sg, dl)
+    value, (g0, g1), ((h00, h_mt), (_, h11)) = _mu_t_terms(
+        n, sg, math.log(sg), sums, (math.log(z), gz, hz), bv
     )
+    h_md, h_td = -n * hz[0][2], -n * hz[1][2]
+    return (
+        value,
+        (g0, g1, b1 - n * gz[2]),
+        ((h00, h_mt, h_md), (h_mt, h11, h_td), (h_md, h_td, b2 - n * hz[2][2])),
+    )
+
+
+def _blocks(n: int, rows: int):
+    """(row, column) slices covering a rows x n array in blocks of at most _CHUNK elements."""
+    r, c = max(1, _CHUNK // n), min(n, _CHUNK)
+    for i in range(0, rows, r):
+        for j in range(0, n, c):
+            yield slice(i, i + r), slice(j, j + c)
+
+
+def _g_sums(x: np.ndarray, mu: np.ndarray, sg: np.ndarray) -> np.ndarray:
+    """The sums of e, w e, w^2 e and w of `_terms` for K rows of (mu, sigma), as a (4, K) array.
+
+    It works in blocks of at most _CHUNK elements, so its temporaries stay in
+    cache and its memory does not grow with K.
+    """
+    n = x.size
+    out = np.zeros((4, mu.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, c in _blocks(n, mu.size):
+            w = (x[c] - mu[r, None]) / sg[r, None]
+            e = np.exp(-w)
+            we = w * e
+            out[:, r] += (e.sum(axis=1), we.sum(axis=1), np.einsum("ij,ij->i", we, w), w.sum(axis=1))
+    return out
 
 
 def log_likelihood(p: BgParams, data) -> float:
@@ -241,39 +290,46 @@ def fisher_information(p: BgParams) -> np.ndarray:
 
     are log-polynomial expectations at a = 2 (and a = 1), with no exp(mu)
     factor, so they hold for any |mu| / sigma.  The delta-block expectation
-    E[F4] has no closed form and is integrated numerically.
+    E[F4] = E[X^2 (u^2 - 1) / (u^2 + 1)^2] with u = 1 - delta X has no closed
+    form; `_f4_integral` integrates it by a fixed rule.
     """
     mu, sg, dl = p.mu, p.sigma, p.delta
     ef1 = _expect(p, (1.0,), 2.0)
     ef2 = _expect(p, (1.0, 1.0), 2.0)
     ef3 = -2.0 * sg * _expect(p, (0.0, 1.0)) + sg * _expect(p, (0.0, 2.0, 1.0), 2.0)
 
-    lz, g, h = _log_z(mu, sg, dl)
-    log_norm = math.log(sg) + lz
-
-    def f4_density(x: float) -> float:
-        w = (x - mu) / sg
-        u = 1.0 - dl * x
-        uu = u * u
-        # The density's weight 1 + u^2 cancels one factor of (1 + u^2)^2.
-        return x * x * (uu - 1.0) / (uu + 1.0) * math.exp(-w - math.exp(-w) - log_norm)
-
-    lo, hi = mu - 40.0 * sg, mu + 250.0 * sg
-    res = quad(
-        f4_density,
-        lo,
-        hi,
-        epsabs=_F4_ABS_TOL,
-        epsrel=_F4_REL_TOL,
-        limit=_F4_LIMIT,
-        points=[mu - 2.0 * sg, mu, mu + 4.0 * sg] + ([1.0 / dl] if dl != 0 and lo < 1.0 / dl < hi else []),
-    )
-    ef4 = res[0]
+    z, g, h = _log_z(mu, sg, dl)
+    ef4 = _f4_integral(mu, sg, dl) / z
 
     info = _to_sigma(g, h, sg)[1]  # the Hessian of ln Z
     info[:2, :2] += np.array([[ef1, 1.0 - ef2], [1.0 - ef2, ef3 / sg - 1.0]]) / sg**2
     info[2, 2] += 2.0 * ef4
     return info
+
+
+def _f4_integral(mu: float, sg: float, dl: float) -> float:
+    """Z E[F4]: the integral of x^2 (u^2 - 1) / (u^2 + 1) e^(s - e^s) over s = ln v.
+
+    Here x = mu - sigma s and u = 1 - delta x, so the density's weight
+    1 + u^2 cancels one factor of (1 + u^2)^2, and u^2 - 1 is written as
+    -delta x (2 - delta x), which does not cancel for small delta.  The
+    integrand is analytic but for the poles s0 +- i h, s0 = (mu - 1/delta) /
+    sigma and h = 1/|delta sigma|, where u = -+i; the panels are graded
+    geometrically towards s0, so near the poles no panel is wider than its
+    distance from them.  Below s = -45 and above s = 6.8 the Gumbel factor is
+    under 3e-20.
+    """
+    breaks = np.array(_PANEL_BREAKS)
+    q = abs(dl * sg)  # 1/h; poles further out leave every panel smooth
+    if q > 1e-6:
+        cuts = (mu - 1.0 / dl) / sg + np.concatenate([-_POLE_CUTS, _POLE_CUTS]) / q
+        breaks = np.union1d(breaks, cuts[(cuts > breaks[0]) & (cuts < breaks[-1])])
+    half = 0.5 * np.diff(breaks)[:, None]
+    s = breaks[:-1, None] + half * (1.0 + _GL_NODES)
+    x = mu - sg * s
+    dx = dl * x
+    f = x * x * dx * (dx - 2.0) / ((1.0 - dx) ** 2 + 1.0) * np.exp(s - np.exp(s))
+    return float((half * _GL_WEIGHTS * f).sum())
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +441,67 @@ def _newton(
     return mu, sg, dl, terms, steps
 
 
+def _profile(x: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """l_p at each delta of ``grid``, by the 2x2 Newton of `_newton` run on every row at once.
+
+    Every row starts cold from the Gumbel moment estimates; an iteration
+    evaluates only the rows not yet stopped, with G's sums from the row
+    kernel `_g_sums` and ln Z from `_log_z` on arrays.  The pivots, the
+    stopping tests and the line search are those of `_solve` and `_newton`.
+    Returns mu, sigma and l_p per row, and the Newton steps summed over rows.
+    """
+    n, rows = x.size, grid.size
+    b = np.zeros(rows)
+    for r, c in _blocks(n, rows):
+        u = 1.0 - grid[r, None] * x[c]
+        b[r] += np.log1p(u * u).sum(axis=1)
+
+    def terms(k, mu, t):  # rows: l, its gradient in (mu, t), h_mm, h_mt, h_tt
+        sg = np.exp(t)
+        z, gz, hz = _log_z(mu, sg, grid[k])
+        value, g, ((h00, h01), (_, h11)) = _mu_t_terms(n, sg, t, _g_sums(x, mu, sg), (np.log(z), gz, hz), b[k])
+        return np.array([value, *g, h00, h01, h11])
+
+    mu0, sg0 = _gumbel_moment_init(x)
+    mu, t = np.full(rows, mu0), np.full(rows, math.log(sg0))
+    steps = np.zeros(rows, dtype=int)
+    act = np.arange(rows)
+    floor = _ROUNDING * n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cur = terms(act, mu, t)
+        while act.size:
+            value, g0, g1, h00, h01, h11 = cur[:, act]
+            # _solve's LDL^T with pivots max(|d|, 1e-12 |h_ii|), then the gradient test.
+            d0 = np.abs(h00)
+            lo = -h01 / d0
+            d1 = np.maximum(np.abs(-h11 - lo * lo * d0), 1e-12 * np.abs(h11))
+            d_t = (g1 - lo * g0) / d1
+            d_m = g0 / d0 - lo * d_t
+            go = (np.maximum(np.abs(g0) * np.exp(t[act]), np.abs(g1)) > _TOL * n) & (d0 > 0.0) & (d1 > 0.0)
+            act, value, d_m, d_t = act[go], value[go], d_m[go], d_t[go]
+            gain = g0[go] * d_m + g1[go] * d_t
+            # Halve each row's step until l falls by no more than rounding.
+            lam, todo, new = np.ones(act.size), np.ones(act.size, dtype=bool), np.empty((6, act.size))
+            for _ in range(_LINE_SEARCH_HALVINGS):
+                t_c = t[act] + lam * d_t
+                i = np.flatnonzero(todo & (np.abs(t_c) <= _MAX_LOG_SIGMA))
+                if i.size:
+                    new[:, i] = terms(act[i], mu[act[i]] + lam[i] * d_m[i], t_c[i])
+                    todo[i] = ~(new[0, i] >= value[i] - floor)
+                if not todo.any():
+                    break
+                lam[todo] *= 0.5
+            done = ~todo
+            act, new = act[done], new[:, done]
+            mu[act] += lam[done] * d_m[done]
+            t[act] += lam[done] * d_t[done]
+            cur[:, act] = new
+            steps[act] += 1
+            # No gain above rounding, seen or promised by the Newton model.
+            act = act[(new[0] > value[done]) & (gain[done] > 2.0 * floor) & (steps[act] < _MAX_ITER)]
+    return mu, np.exp(t), cur[0], int(steps.sum())
+
+
 def _finish(p: BgParams, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
     ll, g, h = _terms(x, p.mu, p.sigma, p.delta)
     sc, hs = _to_sigma(g, h, p.sigma)
@@ -433,35 +550,24 @@ def fit_mle(data, init: BgParams | None = None) -> FitResult:
     A profile-likelihood search in delta, which can hold several local
     maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
     profile l_p(delta) = max over (mu, sigma) of l is computed by the damped
-    Newton `_newton` in (mu, ln sigma) at fixed delta, walking out from
-    delta = 0 both ways and warm-starting each point from its neighbour;
-    ``init``, when given, is one more start at its own delta.  The same
-    Newton, now in (mu, ln sigma, delta), polishes every local maximum of the
-    grid until a step gains nothing above rounding (at most 40 steps), and
-    the highest maximum is returned, near ties (within 1e-8 per observation)
-    going to the smaller |delta|.  At each fixed delta the Newton stops
-    after 500 steps or at a gradient of 1e-9 per observation.  The
-    profile and all maxima are in ``diagnostics``.  A result with
+    Newton in (mu, ln sigma) at fixed delta, every grid point started from
+    the Gumbel moment estimates and all 81 run together (`_profile`);
+    ``init``, when given, is one more start at its own delta.  The damped
+    Newton `_newton`, now in (mu, ln sigma, delta), polishes every local
+    maximum of the grid until a step gains nothing above rounding (at most
+    40 steps), and the highest maximum is returned, near ties (within 1e-8
+    per observation) going to the smaller |delta|.  At each fixed delta the
+    Newton stops after 500 steps or at a gradient of 1e-9 per observation.
+    The profile and all maxima are in ``diagnostics``.  A result with
     ``converged=False`` is still returned so callers can inspect the partial
     fit.
     """
     x = _fit_data(data)
-    grid = _delta_grid(x).tolist()
+    grid = _delta_grid(x)
+    mus, sgs, prof, inner = _profile(x, grid)
+    grid, profile = grid.tolist(), prof.tolist()
+    sol = list(zip(mus.tolist(), sgs.tolist()))
     mid, last = len(grid) // 2, len(grid) - 1
-    sol = [(0.0, 0.0)] * len(grid)
-    profile = [0.0] * len(grid)
-
-    def solve(k: int, mu: float, sg: float) -> int:
-        b = _b_terms(x, grid[k], False)
-        mu, sg, _, terms, steps = _newton(x, mu, sg, grid[k], _MAX_ITER, _TOL, b)
-        sol[k], profile[k] = (mu, sg), terms[0]
-        return steps
-
-    inner = solve(mid, *_gumbel_moment_init(x))
-    for k in range(mid + 1, len(grid)):
-        inner += solve(k, *sol[k - 1])
-    for k in range(mid - 1, -1, -1):
-        inner += solve(k, *sol[k + 1])
 
     peaks = [
         k for k in range(len(grid))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bgumbel import (
     CONSTANTS,
@@ -19,11 +21,57 @@ from bgumbel import (
     log_likelihood,
     score,
 )
-from bgumbel.inference import _z_first_derivs
+from bgumbel.inference import _MAX_ITER, _TOL, _b_terms, _newton, _z_first_derivs
 from helpers import fd_gradient, inverse_sampler, random_params
 
 EG = CONSTANTS.euler_gamma
 PI = math.pi
+# A triple where an adaptive quad of E[F4] (epsabs 1e-12, epsrel 1e-10) was
+# 1.35e-8 off, 1400 times its own error estimate.
+QUAD_MISS = (2.2372156235807275, 1.0517426362630748, 0.08047396923798478)
+# Far from the origin, delta up to 500, sigma from 1e-3 to 1e3, and delta
+# small enough that u^2 - 1 cancels when formed as written.
+F4_TRIPLES = [
+    QUAD_MISS,
+    (1e4, 3.0, 1e-4),
+    (-1e4, 3.0, -3.4e-4),
+    (0.0, 1.0, 200.0),
+    (0.0, 1.0, -500.0),
+    (3.0, 1e-3, 1.0),
+    (0.0, 1e3, 1e-3),
+    (0.5, 1.2, 1e-9),
+    (-1.0, 2.0, -1.0),
+    (1.0, 1.0, 2.0),
+]
+BOX = ((-3.0, 3.0), (0.3, 3.0), (-1.5, 1.5))  # mu, sigma, delta of the benchmark
+
+
+def _box_triples(seed, n):
+    rng = np.random.default_rng(seed)
+    return [tuple(float(rng.uniform(lo, hi)) for lo, hi in BOX) for _ in range(n)]
+
+
+def _mp_log_z_dd(mu, sg, dl):
+    """d2 ln Z / d delta2, in mpmath."""
+    m = mu + sg * mpmath.euler
+    c = mpmath.pi**2 / 3
+    z = 1 + c * (dl * sg) ** 2 / 2 + (dl * m - 1) ** 2
+    z1 = dl * sg * sg * c + 2 * m * (dl * m - 1)
+    return (sg * sg * c + 2 * m * m) / z - (z1 / z) ** 2
+
+
+def _mp_f4(mu, sg, dl):
+    """Z E[F4] by 40-digit quadrature in s = ln V over the whole line."""
+    def f(s):
+        x = mu - sg * s
+        u = 1 - dl * x
+        return x * x * (u * u - 1) / (u * u + 1) * mpmath.exp(s - mpmath.exp(s))
+
+    pts = [-mpmath.inf, -60, -40, -25, -12, -5, -2, 0, 1, 2, 3, 4, 5, 9]
+    if dl != 0:  # the poles (mu - (1 -+ i) / delta) / sigma
+        s0, h = (mu - 1 / dl) / sg, abs(1 / (dl * sg))
+        pts += [s0 + k * h for k in (-8, -2, -1, -0.5, 0, 0.5, 1, 2, 8) if -60 < s0 + k * h < 9]
+    return mpmath.quad(f, sorted(set(pts)), maxdegree=10)
 
 
 def _random_instance(rng, n=60):
@@ -167,6 +215,45 @@ class TestFisherInformation:
             acc += hessian(p, sampler(rng, n)) / n
         mc = -acc / reps
         assert np.linalg.norm(info - mc) / np.linalg.norm(info) < 0.05
+
+    @pytest.mark.parametrize("triple", F4_TRIPLES, ids=lambda t: ",".join(f"{v:g}" for v in t))
+    def test_f4_rule_matches_mpmath(self, triple):
+        from bgumbel.inference import _f4_integral
+
+        with mpmath.workdps(40):
+            ref = float(_mp_f4(*map(mpmath.mpf, triple)))
+        assert abs(_f4_integral(*triple) - ref) <= 1e-13 * abs(ref)
+
+    def test_delta_entry_at_quad_miss_matches_mpmath(self):
+        with mpmath.workdps(40):
+            mu, sg, dl = map(mpmath.mpf, QUAD_MISS)
+            z = 1 + (dl * sg * mpmath.pi) ** 2 / 6 + (dl * (mu + sg * mpmath.euler) - 1) ** 2
+            ref = float(_mp_log_z_dd(mu, sg, dl) + 2 * _mp_f4(mu, sg, dl) / z)
+        got = fisher_information(BgParams(*QUAD_MISS))[2, 2]
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_delta_entry_matches_tight_quad(self):
+        # E[F4] by adaptive quadrature in x at epsabs 1e-14, epsrel 1e-13,
+        # on triples of the benchmark's box.  On some triples quad warns
+        # that rounding keeps it from its own tolerance; the entry must
+        # still agree to 1e-12.
+        for mu, sg, dl in _box_triples(29, 50):
+            m = mu + sg * EG
+            z = 1 + (dl * sg * PI) ** 2 / 6 + (dl * m - 1) ** 2
+
+            def f4(x):
+                w = (x - mu) / sg
+                uu = (1 - dl * x) ** 2
+                return x * x * (uu - 1) / (uu + 1) * math.exp(-w - math.exp(-w)) / (sg * z)
+
+            lo, hi = mu - 40 * sg, mu + 250 * sg
+            pts = [mu - 2 * sg, mu, mu + 4 * sg] + ([1 / dl] if lo < 1 / dl < hi else [])
+            ef4 = quad(f4, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500, points=pts)[0]
+            z1 = dl * sg * sg * PI**2 / 3 + 2 * m * (dl * m - 1)
+            ref = (sg * sg * PI**2 / 3 + 2 * m * m) / z - (z1 / z) ** 2 + 2 * ef4
+            got = fisher_information(BgParams(mu, sg, dl))[2, 2]
+            assert abs(got - ref) <= 1e-12 * abs(ref), (mu, sg, dl)
 
 
 class TestFitMle:
@@ -318,6 +405,39 @@ class TestFitMle:
         x = inverse_sampler(p)(np.random.default_rng(55), 624)
         truth = log_likelihood(p, x)
         assert fit_mle(x).log_likelihood >= truth - 1e-9 * abs(truth)
+
+    @pytest.mark.parametrize("data", ["maxima29", "bimodal500", "blocks60", "gumbel100", "gumbel2000"])
+    def test_profile_matches_scalar_newton(self, request, series1774, data):
+        # The oracle is the scalar fixed-delta Newton, started at every grid
+        # delta from the Gumbel fit; none of the lockstep profile runs in it.
+        if data == "blocks60":
+            x = block_maxima(series1774, BlockMaximaConfig(60))
+            x = x - x.mean()
+        elif data.startswith("gumbel"):
+            n = int(data[len("gumbel"):])
+            x = np.random.default_rng(n).gumbel(1.0, 2.0, n)
+        else:
+            x = request.getfixturevalue(data)
+        diag = fit_mle(x).diagnostics
+        g = fit_gumbel_mle(x).params
+        for dl, got in zip(diag.delta_grid, diag.profile_loglik):
+            ref = _newton(x, g.mu, g.sigma, dl, _MAX_ITER, _TOL, _b_terms(x, dl, False))[3][0]
+            assert abs(got - ref) <= 1e-12 * abs(ref), dl
+            # Not lower, beyond the rounding of sums over the data.
+            assert got >= ref - 1e-14 * abs(ref), dl
+
+    def test_fit_memory_does_not_grow_with_grid(self):
+        # The profile's row kernel works in blocks: 81 x 2000 temporaries at
+        # once would take above 5 MB.
+        x = np.random.default_rng(3).gumbel(0.0, 1.0, 2000)
+        fit_mle(x)
+        tracemalloc.start()
+        try:
+            fit_mle(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_gumbel_fit_has_no_diagnostics(self, maxima29):
         assert fit_gumbel_mle(maxima29).diagnostics is None

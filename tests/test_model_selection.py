@@ -101,12 +101,16 @@ class TestLjungBox:
         assert p == pytest.approx(chi2.sf(stat, 6), rel=1e-12)
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a third of `import bgumbel`; nothing in
-        # the package needs it.
+        # scipy.stats costs about a third of `import bgumbel`, and
+        # scipy.integrate is loaded by nothing else; the package needs
+        # neither.
         src = str(Path(bgumbel.__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {src!r}); import bgumbel; print('scipy.stats' in sys.modules)"
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import bgumbel; "
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
 
 class TestKsTest:
