@@ -25,6 +25,7 @@ record "seed": null.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,9 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: building it costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # Numeric errors first: most package errors and LinAlgError are also ValueErrors.

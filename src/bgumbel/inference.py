@@ -16,10 +16,13 @@ delta enters l only through B, which holds no (mu, sigma), and through ln Z.
 So the fit is a profile-likelihood search: the profile
 l_p(delta) = max over (mu, sigma) of l is computed on a grid of delta, and
 each local maximum of the grid (the likelihood can hold several in delta) is
-polished in all three parameters.  The profile runs one 2x2 damped Newton
-per grid point, all in lockstep on arrays of rows (`_profile`, with G's sums
-from the row kernel `_g_sums`); the polish runs the scalar damped Newton
-`_newton` in 3x3.
+polished in all three parameters.  One damped Newton, `_newton`, serves
+every fit: it runs rows in lockstep, each evaluation forming G's sums for
+all its rows at once (the row kernel `_g_sums`) and the rest of each row's
+step in one elementwise function (`_row_step`: ln Z, the terms as `_terms`
+assembles them, and the LDL^T solve `_solve`).  It runs 2x2 at fixed delta
+for the profile's grid points and the ``init`` start, 3x3 for the polish of
+every maximum, and as one 2x2 row at delta = 0 for the Gumbel fit.
 """
 from __future__ import annotations
 
@@ -68,6 +71,9 @@ _WEAK_GAP = 0.5 * 3.841458820694124
 # Elements per block of the row kernel `_g_sums`: 81 x n temporaries of a
 # large sample leave the cache, and fresh large arrays cost page faults.
 _CHUNK = 1 << 14
+# Rows up to which `_newton` evaluates row by row in Python floats, where
+# numpy's cost of about 1 us a call would exceed the arithmetic.
+_FEW = 8
 # E[F4] of fisher_information (`_f4_integral`): 24-point Gauss-Legendre
 # panels in s = ln V on [-45, 6.8], split at fixed breaks and at s0 +- 2^j h,
 # j = -2..5, around the poles s0 +- i h of 1 / (1 + u^2).
@@ -95,8 +101,8 @@ class FitDiagnostics:
 
     ``profile_loglik[k]`` is the profile log likelihood at ``delta_grid[k]``.
     ``maxima`` holds every distinct polished local maximum, highest first.
-    ``inner_steps`` counts the 2x2 Newton steps of the profile, summed over
-    the grid points (and the ``init`` start, when given).
+    ``inner_steps`` counts the fixed-delta (2x2) Newton steps, summed over
+    the grid points and the ``init`` start, when given.
     ``weakly_identified`` is set when the top two maxima differ by less than
     chi2_1(0.95) / 2 ~ 1.92 in log likelihood.
     """
@@ -136,28 +142,32 @@ def _as_data(data) -> np.ndarray:
     return x
 
 
-def _log_z(mu, sg, dl) -> tuple:
-    """Z with the gradient and Hessian of ln Z in (mu, t = ln sigma, delta).
+def _log_z(mu, sg, dl, k: int = 3) -> tuple:
+    """Z with the gradient and Hessian of ln Z in (mu, t = ln sigma[, delta]).
 
     Z = 1 + (delta sigma pi)^2 / 6 + a^2 with a = delta m - 1 and
     m = mu + sigma gamma; the derivatives of ln Z are those of Z over Z.
-    Elementwise, so it takes floats or arrays of rows alike.
+    With k = 2 only the (mu, t) parts.  Elementwise, so it takes floats or
+    arrays of rows alike.
     """
     c = _PI**2 / 3.0
     m = mu + sg * _EG
     a = dl * m - 1.0
     d2 = dl * dl
-    z = 1.0 + 0.5 * c * (dl * sg) ** 2 + a * a
+    q = dl * sg
+    z = 1.0 + 0.5 * c * (q * q) + a * a
     z_t = sg * (d2 * sg * c + 2.0 * dl * _EG * a)
-    g0, g1, g2 = 2.0 * dl * a / z, z_t / z, (dl * sg * sg * c + 2.0 * m * a) / z
+    g0, g1 = 2.0 * dl * a / z, z_t / z
     h01 = 2.0 * d2 * _EG * sg / z - g0 * g1
-    h02 = (4.0 * dl * m - 2.0) / z - g0 * g2
-    h12 = sg * (2.0 * dl * sg * c + 4.0 * dl * _EG * m - 2.0 * _EG) / z - g1 * g2
-    return z, (g0, g1, g2), (
-        (2.0 * d2 / z - g0 * g0, h01, h02),
-        (h01, (z_t + d2 * sg * sg * (c + 2.0 * _EG**2)) / z - g1 * g1, h12),
-        (h02, h12, (sg * sg * c + 2.0 * m * m) / z - g2 * g2),
-    )
+    h11 = (z_t + d2 * sg * sg * (c + 2.0 * _EG**2)) / z - g1 * g1
+    g, h = [g0, g1], [[2.0 * d2 / z - g0 * g0, h01], [h01, h11]]
+    if k == 3:
+        g2 = (dl * sg * sg * c + 2.0 * m * a) / z
+        h02 = (4.0 * dl * m - 2.0) / z - g0 * g2
+        h12 = sg * (2.0 * dl * sg * c + 4.0 * dl * _EG * m - 2.0 * _EG) / z - g1 * g2
+        g.append(g2)
+        h = [[*h[0], h02], [*h[1], h12], [h02, h12, (sg * sg * c + 2.0 * m * m) / z - g2 * g2]]
+    return z, g, h
 
 
 def _to_sigma(g, h, sg: float) -> tuple[np.ndarray, np.ndarray]:
@@ -169,71 +179,50 @@ def _to_sigma(g, h, sg: float) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def _z_first_derivs(p: BgParams) -> tuple[float, float, float]:
-    """dZ/dmu, dZ/dsigma, dZ/ddelta."""
-    z, g, h = _log_z(p.mu, p.sigma, p.delta)
-    return tuple(z * _to_sigma(g, h, p.sigma)[0])
-
-
-def _b_terms(x: np.ndarray, dl: float, derivs: bool = True) -> tuple[float, float, float]:
-    """B = sum ln(1 + u^2) with u = 1 - delta x, and its first two delta derivatives.
-
-    With ``derivs`` False, for a fixed delta, the derivatives are nan.
-    """
+def _b_terms(x: np.ndarray, dl: float) -> tuple[float, float, float]:
+    """B = sum ln(1 + u^2) with u = 1 - delta x, and its first two delta derivatives."""
     u = 1.0 - dl * x
     uu = u * u
-    bv = float(np.log1p(uu).sum())
-    if not derivs:
-        return bv, math.nan, math.nan
     q = 1.0 / (1.0 + uu)
-    return bv, -2.0 * float(x @ (u * q)), 2.0 * float((x * x) @ ((1.0 - uu) * q * q))
+    return float(np.log1p(uu).sum()), -2.0 * float(x @ (u * q)), 2.0 * float((x * x) @ ((1.0 - uu) * q * q))
 
 
-def _mu_t_terms(n: int, sg, t, sums, z_terms, bv) -> tuple:
-    """l with its gradient and Hessian in (mu, t = ln sigma), elementwise.
+def _assemble(n: int, sg, t, sums, z_terms, b) -> tuple:
+    """l with its gradient and Hessian in (mu, t = ln sigma[, delta]), elementwise.
 
     ``sums`` = (sum e, sum w e, sum w^2 e, sum w), ``z_terms`` = (ln Z, its
-    gradient, its Hessian) at (mu, sigma = exp(t)) and ``bv`` = B; floats or
-    arrays of rows alike.
+    gradient, its Hessian) at (mu, sigma = exp(t), delta) and ``b`` = (B,)
+    with delta held fixed, or B with its two delta derivatives for the
+    delta row and column as well; floats or arrays of rows alike.
     """
     s0, s1, s2, sw = sums
-    lz, (g0, g1, _), ((h00, h01, _), (_, h11, _), _) = z_terms
-    h_mt = (s0 - s1 - n) / sg - n * h01
-    return (
-        bv - n * lz - n * t - sw - s0,
-        ((n - s0) / sg - n * g0, sw - s1 - n - n * g1),
-        ((-s0 / (sg * sg) - n * h00, h_mt), (h_mt, s1 - sw - s2 - n * h11)),
-    )
+    lz, gz, hz = z_terms
+    h_mt = (s0 - s1 - n) / sg - n * hz[0][1]
+    g = [(n - s0) / sg - n * gz[0], sw - s1 - n - n * gz[1]]
+    h = [[-s0 / (sg * sg) - n * hz[0][0], h_mt], [h_mt, s1 - sw - s2 - n * hz[1][1]]]
+    if len(b) == 3:
+        h_md, h_td = -n * hz[0][2], -n * hz[1][2]
+        g.append(b[1] - n * gz[2])
+        h = [[*h[0], h_md], [*h[1], h_td], [h_md, h_td, b[2] - n * hz[2][2]]]
+    return b[0] - n * lz - n * t - sw - s0, g, h
 
 
-def _terms(
-    x: np.ndarray, mu: float, sg: float, dl: float, b: tuple[float, float, float] | None = None
-) -> tuple[float, tuple, tuple]:
+def _terms(x: np.ndarray, mu: float, sg: float, dl: float) -> tuple[float, list, list]:
     """l at (mu, sigma, delta), with its gradient and Hessian in (mu, t = ln sigma, delta).
 
     l = B(delta) - n ln Z(mu, sigma, delta) + G(mu, sigma), with B from
-    `_b_terms` (or ``b``, when the caller holds it for a fixed delta), ln Z
-    from `_log_z` and G = -n t - sum w - sum e, w = (x - mu)/sigma and
-    e = exp(-w): one exp pass and the sums of w, e, w e and w^2 e.  sum w is
-    added up term by term; (sum x - n mu)/sigma cancels far from the origin.
+    `_b_terms`, ln Z from `_log_z` and G = -n t - sum w - sum e,
+    w = (x - mu)/sigma and e = exp(-w): one exp pass and the sums of w, e,
+    w e and w^2 e.  sum w is added up term by term; (sum x - n mu)/sigma
+    cancels far from the origin.
     """
-    n = x.size
     w = (x - mu) / sg
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(-w)
         we = w * e
         sums = float(e.sum()), float(we.sum()), float(we @ w), float(w.sum())
-    bv, b1, b2 = _b_terms(x, dl) if b is None else b
     z, gz, hz = _log_z(mu, sg, dl)
-    value, (g0, g1), ((h00, h_mt), (_, h11)) = _mu_t_terms(
-        n, sg, math.log(sg), sums, (math.log(z), gz, hz), bv
-    )
-    h_md, h_td = -n * hz[0][2], -n * hz[1][2]
-    return (
-        value,
-        (g0, g1, b1 - n * gz[2]),
-        ((h00, h_mt, h_md), (h_mt, h11, h_td), (h_md, h_td, b2 - n * hz[2][2])),
-    )
+    return _assemble(x.size, sg, math.log(sg), sums, (math.log(z), gz, hz), _b_terms(x, dl))
 
 
 def _blocks(n: int, rows: int):
@@ -248,16 +237,15 @@ def _g_sums(x: np.ndarray, mu: np.ndarray, sg: np.ndarray) -> np.ndarray:
     """The sums of e, w e, w^2 e and w of `_terms` for K rows of (mu, sigma), as a (4, K) array.
 
     It works in blocks of at most _CHUNK elements, so its temporaries stay in
-    cache and its memory does not grow with K.
+    cache and its memory does not grow with K.  Overflow in e is the
+    caller's to silence.
     """
-    n = x.size
     out = np.zeros((4, mu.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r, c in _blocks(n, mu.size):
-            w = (x[c] - mu[r, None]) / sg[r, None]
-            e = np.exp(-w)
-            we = w * e
-            out[:, r] += (e.sum(axis=1), we.sum(axis=1), np.einsum("ij,ij->i", we, w), w.sum(axis=1))
+    for r, c in _blocks(x.size, mu.size):
+        w = (x[c] - mu[r, None]) / sg[r, None]
+        e = np.exp(-w)
+        we = w * e
+        out[:, r] += (e.sum(axis=1), we.sum(axis=1), np.einsum("ij,ij->i", we, w), w.sum(axis=1))
     return out
 
 
@@ -359,147 +347,134 @@ def _delta_grid(x: np.ndarray) -> np.ndarray:
     return (_GRID_REACH / s) * np.sinh(c * u) / math.sinh(c)
 
 
-def _solve(h, g: list[float]) -> list[float] | None:
-    """The Newton ascent step: solve (a + E) y = g with a = -h, in plain floats.
+def _maximum(a, b):
+    """max(a, b) elementwise, for floats or arrays: numpy's costs about 1 us a call on floats."""
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def _solve(h, g) -> tuple[list, object]:
+    """The Newton ascent step: solve (a + E) y = g with a = -h.
 
     Uses the leading len(g) block of the symmetric h, by LDL^T
     (square-root-free Cholesky).  Each pivot d is replaced by
-    max(|d|, 1e-12 a_ii), a diagonal E that is 0 when a is positive definite
-    and not near singular.  So y is still an ascent direction and, along a
-    stretch of negative curvature, steps about as far as a curvature of the
-    opposite sign would; and y does not depend on the units of the
-    parameters.  None when h holds nan.
+    max(|d|, 1e-12 |a_ii|), a diagonal E that is 0 when a is positive
+    definite and not near singular.  So y is still an ascent direction and,
+    along a stretch of negative curvature, steps about as far as a curvature
+    of the opposite sign would; and y does not depend on the units of the
+    parameters.  Elementwise: the entries of h and g are floats or arrays of
+    rows alike.  Returns y and whether all pivots are > 0 (not nan, no zero
+    diagonal), per row.
     """
     low, d, y = [], [], []  # rows of unit-lower L, pivots, L^-1 g
+    ok = True
     for i, gi in enumerate(g):
         row, li = h[i], []
         for j in range(i):
             s, lj = -row[j], low[j]
             for m in range(j):
-                s -= li[m] * lj[m] * d[m]
+                s = s - li[m] * lj[m] * d[m]
             li.append(s / d[j])
         s, yi = -row[i], gi
         for m in range(i):
-            s -= li[m] * li[m] * d[m]
-            yi -= li[m] * y[m]
-        d.append(max(abs(s), 1e-12 * abs(row[i])))
-        if not d[i] > 0.0:  # nan, or a zero diagonal
-            return None
+            s = s - li[m] * li[m] * d[m]
+            yi = yi - li[m] * y[m]
+        d.append(_maximum(abs(s), 1e-12 * abs(row[i])))
+        ok = ok & (d[i] > 0.0)
         low.append(li)
         y.append(yi)
     for i in reversed(range(len(y))):
-        y[i] /= d[i]
+        y[i] = y[i] / d[i]
         for m in range(i + 1, len(y)):
-            y[i] -= low[m][i] * y[m]
-    return y
+            y[i] = y[i] - low[m][i] * y[m]
+    return y, ok
 
 
-def _newton(
-    x: np.ndarray, mu: float, sg: float, dl: float, max_steps: int, tol: float,
-    b: tuple[float, float, float] | None = None,
-) -> tuple[float, float, float, tuple, int]:
-    """Maximise l by damped Newton in (mu, t = ln sigma, delta) from (mu, sigma, delta).
+def _row_step(n: int, k: int, mu, sg, t, dl, *sums_b) -> list:
+    """One Newton point of a row: [l, gradient size, pivots ok, promised gain, step y].
 
-    With ``b`` = `_b_terms`(x, delta, False) given, delta and B are held
-    fixed and the step is 2x2.  Each step takes one `_terms` call and one
-    `_solve`; the step is halved until l does not fall by more than
-    rounding.  Stops once the gradient per observation, its mu part times
-    sigma, is at most ``tol`` (with ``tol`` = 0, never), after a step that
-    gains, or whose quadratic model promises, no more than rounding, or
-    after ``max_steps``.
-    Returns (mu, sigma, delta), the `_terms` there and the steps taken.
+    ``sums_b`` holds the sums of `_g_sums` and B with, when k = 3, its two
+    delta derivatives.  The gradient size is the largest gradient entry in
+    (mu, t[, delta]), the mu entry times sigma; the gain is g . y.
+    Elementwise: floats or arrays of rows alike.
+    """
+    z, gz, hz = _log_z(mu, sg, dl, k)
+    value, g, h = _assemble(n, sg, t, sums_b[:4], (np.log(z), gz, hz), sums_b[4:])
+    y, ok = _solve(h, g)
+    size = abs(g[0]) * sg
+    for gi in g[1:]:
+        size = _maximum(size, abs(gi))
+    return [value, size, ok, sum(map(mul, g, y)), *y]
+
+
+def _newton(x: np.ndarray, starts, k: int, max_steps: int, tol: float) -> tuple[list, list, list]:
+    """Maximise l by damped Newton from ``starts``, K rows of (mu, t = ln sigma, delta), in lockstep.
+
+    With k = 2 each row's delta is held fixed and its B formed once, and the
+    step is in (mu, t); with k = 3 the step moves delta too, and each
+    evaluation takes B with its two delta derivatives from `_b_terms`, row by
+    row.  Each evaluation serves all the rows that need one: G's sums from
+    the row kernel `_g_sums`, the rest from `_row_step`, on arrays of rows
+    or, for at most _FEW rows, on floats (the bits agree).  Each row's step
+    is halved until l does not fall by more than rounding.  A row stops once
+    its gradient per observation, the mu part times sigma, is at most
+    ``tol`` (with ``tol`` = 0, never), after a step that gains, or whose
+    quadratic model promises, no more than rounding, or after
+    ``max_steps``.  Rows never mix: each row's result is what it would be
+    alone.  Returns per row [mu, t, delta], l there and the steps taken.
     """
     n = x.size
-    k = 2 if b is not None else 3
-    terms = _terms(x, mu, sg, dl, b)
-    steps = 0
-    while steps < max_steps:
-        value, g, h = terms
-        g = g[:k]
-        if not max(abs(g[0]) * sg, *map(abs, g[1:])) > tol * n:  # also stops on nan
-            break
-        y = _solve(h, g)
-        if y is None:
-            break
-        d_m, d_t, d_d = y[0], y[1], (y[2] if k == 3 else 0.0)
-        t, lam = math.log(sg), 1.0
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            t_c = t + lam * d_t
-            if abs(t_c) <= _MAX_LOG_SIGMA:
-                trial = (mu + lam * d_m, math.exp(t_c), dl + lam * d_d)
-                cand = _terms(x, *trial, b)
-                if cand[0] >= value - _ROUNDING * n:
-                    break
-            lam *= 0.5
-        else:
-            break
-        (mu, sg, dl), terms = trial, cand
-        steps += 1
-        # No gain above rounding, seen or promised by the Newton model.
-        if cand[0] <= value or sum(map(mul, g, y)) <= 2.0 * _ROUNDING * n:
-            break
-    return mu, sg, dl, terms, steps
-
-
-def _profile(x: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """l_p at each delta of ``grid``, by the 2x2 Newton of `_newton` run on every row at once.
-
-    Every row starts cold from the Gumbel moment estimates; an iteration
-    evaluates only the rows not yet stopped, with G's sums from the row
-    kernel `_g_sums` and ln Z from `_log_z` on arrays.  The pivots, the
-    stopping tests and the line search are those of `_solve` and `_newton`.
-    Returns mu, sigma and l_p per row, and the Newton steps summed over rows.
-    """
-    n, rows = x.size, grid.size
-    b = np.zeros(rows)
-    for r, c in _blocks(n, rows):
-        u = 1.0 - grid[r, None] * x[c]
-        b[r] += np.log1p(u * u).sum(axis=1)
-
-    def terms(k, mu, t):  # rows: l, its gradient in (mu, t), h_mm, h_mt, h_tt
-        sg = np.exp(t)
-        z, gz, hz = _log_z(mu, sg, grid[k])
-        value, g, ((h00, h01), (_, h11)) = _mu_t_terms(n, sg, t, _g_sums(x, mu, sg), (np.log(z), gz, hz), b[k])
-        return np.array([value, *g, h00, h01, h11])
-
-    mu0, sg0 = _gumbel_moment_init(x)
-    mu, t = np.full(rows, mu0), np.full(rows, math.log(sg0))
-    steps = np.zeros(rows, dtype=int)
-    act = np.arange(rows)
     floor = _ROUNDING * n
+    pts = np.array(starts, dtype=float).reshape(-1, 3)
+    if k == 2:  # B once per row, in blocks as in `_g_sums`
+        b = np.zeros(len(pts))
+        for r, c in _blocks(n, b.size):
+            u = 1.0 - pts[r, 2, None] * x[c]
+            b[r] += np.log1p(u * u).sum(axis=1)
+
+    def evaluate(rows, pts):  # `_row_step` at the points (R, 3) of these rows, a list per row
+        mu, t, dl = pts.T
+        sg = np.exp(t)
+        b_r = b[rows, None] if k == 2 else np.array([_b_terms(x, d) for d in dl.tolist()])
+        cols = [mu, sg, t, dl, *_g_sums(x, mu, sg), *b_r.T]
+        if mu.size > _FEW:
+            return np.array(_row_step(n, k, *cols), dtype=float).T.tolist()
+        return [_row_step(n, k, *row) for row in zip(*(c.tolist() for c in cols))]
+
+    state = pts.tolist()
+    steps = [0] * len(state)
+    act, small = range(len(state)), tol * n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cur = terms(act, mu, t)
-        while act.size:
-            value, g0, g1, h00, h01, h11 = cur[:, act]
-            # _solve's LDL^T with pivots max(|d|, 1e-12 |h_ii|), then the gradient test.
-            d0 = np.abs(h00)
-            lo = -h01 / d0
-            d1 = np.maximum(np.abs(-h11 - lo * lo * d0), 1e-12 * np.abs(h11))
-            d_t = (g1 - lo * g0) / d1
-            d_m = g0 / d0 - lo * d_t
-            go = (np.maximum(np.abs(g0) * np.exp(t[act]), np.abs(g1)) > _TOL * n) & (d0 > 0.0) & (d1 > 0.0)
-            act, value, d_m, d_t = act[go], value[go], d_m[go], d_t[go]
-            gain = g0[go] * d_m + g1[go] * d_t
-            # Halve each row's step until l falls by no more than rounding.
-            lam, todo, new = np.ones(act.size), np.ones(act.size, dtype=bool), np.empty((6, act.size))
+        cur = evaluate(act, pts)
+        while act:
+            todo = [r for r in act if cur[r][1] > small and cur[r][2]]  # also stops on nan
+            # Halve each row's step until l falls by no more than rounding.  Every
+            # row still searching was halved at each pass, so all share lam.
+            act, lam = [], 1.0
             for _ in range(_LINE_SEARCH_HALVINGS):
-                t_c = t[act] + lam * d_t
-                i = np.flatnonzero(todo & (np.abs(t_c) <= _MAX_LOG_SIGMA))
-                if i.size:
-                    new[:, i] = terms(act[i], mu[act[i]] + lam[i] * d_m[i], t_c[i])
-                    todo[i] = ~(new[0, i] >= value[i] - floor)
-                if not todo.any():
+                rows, trial, left = [], [], []
+                for r in todo:
+                    (mu, t, dl), y = state[r], cur[r][4:]
+                    q = [mu + lam * y[0], t + lam * y[1], dl + lam * y[2] if k == 3 else dl]
+                    if abs(q[1]) <= _MAX_LOG_SIGMA:
+                        rows.append(r)
+                        trial.append(q)
+                    else:
+                        left.append(r)
+                for r, q, c in zip(rows, trial, evaluate(rows, np.array(trial)) if rows else ()):
+                    value, gain = cur[r][0], cur[r][3]
+                    if not c[0] >= value - floor:
+                        left.append(r)
+                        continue
+                    state[r], cur[r] = q, c
+                    steps[r] += 1
+                    # No gain above rounding, seen or promised by the Newton model.
+                    if c[0] > value and gain > 2.0 * floor and steps[r] < max_steps:
+                        act.append(r)
+                todo = left
+                if not todo:
                     break
-                lam[todo] *= 0.5
-            done = ~todo
-            act, new = act[done], new[:, done]
-            mu[act] += lam[done] * d_m[done]
-            t[act] += lam[done] * d_t[done]
-            cur[:, act] = new
-            steps[act] += 1
-            # No gain above rounding, seen or promised by the Newton model.
-            act = act[(new[0] > value[done]) & (gain[done] > 2.0 * floor) & (steps[act] < _MAX_ITER)]
-    return mu, np.exp(t), cur[0], int(steps.sum())
+                lam *= 0.5
+    return state, [float(c[0]) for c in cur], steps
 
 
 def _finish(p: BgParams, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
@@ -550,49 +525,52 @@ def fit_mle(data, init: BgParams | None = None) -> FitResult:
     A profile-likelihood search in delta, which can hold several local
     maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
     profile l_p(delta) = max over (mu, sigma) of l is computed by the damped
-    Newton in (mu, ln sigma) at fixed delta, every grid point started from
-    the Gumbel moment estimates and all 81 run together (`_profile`);
-    ``init``, when given, is one more start at its own delta.  The damped
-    Newton `_newton`, now in (mu, ln sigma, delta), polishes every local
-    maximum of the grid until a step gains nothing above rounding (at most
-    40 steps), and the highest maximum is returned, near ties (within 1e-8
-    per observation) going to the smaller |delta|.  At each fixed delta the
-    Newton stops after 500 steps or at a gradient of 1e-9 per observation.
-    The profile and all maxima are in ``diagnostics``.  A result with
+    Newton `_newton` in (mu, ln sigma) at fixed delta, every grid point
+    started from the Gumbel moment estimates and all 81 run together;
+    ``init``, when given, is one more row, at its own delta and from its own
+    start.  At each fixed delta the Newton stops after 500 steps or at a
+    gradient of 1e-9 per observation.  The same Newton, now in
+    (mu, ln sigma, delta), then polishes every local maximum of the grid and
+    the ``init`` result together, each until a step gains nothing above
+    rounding (at most 40 steps), and the highest maximum is returned, near
+    ties (within 1e-8 per observation) going to the smaller |delta|.  The
+    profile and all maxima are in ``diagnostics``.  A result with
     ``converged=False`` is still returned so callers can inspect the partial
     fit.
     """
     x = _fit_data(data)
     grid = _delta_grid(x)
-    mus, sgs, prof, inner = _profile(x, grid)
-    grid, profile = grid.tolist(), prof.tolist()
-    sol = list(zip(mus.tolist(), sgs.tolist()))
-    mid, last = len(grid) // 2, len(grid) - 1
-
-    peaks = [
-        k for k in range(len(grid))
-        if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
-    ] or [mid]
-    starts = [(*sol[k], grid[k], k in (0, last)) for k in peaks]
+    rows = grid.size
+    mu0, sg0 = _gumbel_moment_init(x)
+    starts = [(mu0, math.log(sg0), dl) for dl in grid.tolist()]
     if init is not None:
-        mu, sg, dl, _, steps = _newton(
-            x, init.mu, init.sigma, init.delta, _MAX_ITER, _TOL, _b_terms(x, init.delta, False)
-        )
-        inner += steps
-        starts.append((mu, sg, dl, False))
+        starts.append((init.mu, math.log(init.sigma), init.delta))
+    pts, values, steps = _newton(x, starts, 2, _MAX_ITER, _TOL)
+    inner = sum(steps)
+    profile = values[:rows]
 
-    total = inner
+    last = rows - 1
+    peaks = [
+        k for k in range(rows)
+        if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
+    ] or [rows // 2]
+    edges = [k in (0, last) for k in peaks]
+    if init is not None:
+        peaks.append(rows)
+        edges.append(False)
+    pts, _, steps = _newton(x, [pts[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
+    total = inner + sum(steps)
+
     maxima: list[LocalMaximum] = []
-    for mu, sg, dl, edge in starts:
-        mu, sg, dl, terms, steps = _newton(x, mu, sg, dl, _POLISH_STEPS, 0.0)
-        total += steps
-        p = BgParams(mu, sg, dl)
+    for (mu, t, dl), edge in zip(pts, edges):
+        p = BgParams(mu, math.exp(t), dl)
         for i, m in enumerate(maxima):
             if _same_point(m.params, p):
                 maxima[i] = m._replace(at_grid_edge=m.at_grid_edge and edge)
                 break
         else:
-            maxima.append(LocalMaximum(p, terms[0], edge))
+            # l from `_terms`, as `_finish` takes it, so the fit's l is the top maximum's.
+            maxima.append(LocalMaximum(p, _terms(x, mu, p.sigma, dl)[0], edge))
     maxima.sort(key=lambda m: -m.log_likelihood)
 
     top = maxima[0].log_likelihood
@@ -601,7 +579,7 @@ def fit_mle(data, init: BgParams | None = None) -> FitResult:
         key=lambda m: abs(m.params.delta),
     )
     diagnostics = FitDiagnostics(
-        delta_grid=tuple(grid),
+        delta_grid=tuple(grid.tolist()),
         profile_loglik=tuple(profile),
         maxima=tuple(maxima),
         inner_steps=inner,
@@ -620,10 +598,11 @@ def _same_point(a: BgParams, b: BgParams) -> bool:
 def fit_gumbel_mle(data) -> FitResult:
     """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
 
-    The fixed-delta Newton of ``fit_mle``'s profile at delta = 0, from the
-    moment estimates.
+    The fixed-delta Newton of ``fit_mle``'s profile, as one row at
+    delta = 0, from the moment estimates.
     """
     x = _fit_data(data)
     mu, sg = _gumbel_moment_init(x)
-    mu, sg, _, _, steps = _newton(x, mu, sg, 0.0, _MAX_ITER, _TOL, _b_terms(x, 0.0, False))
-    return _finish(BgParams(mu, sg, 0.0), x, steps, fix_delta=True)
+    pts, _, steps = _newton(x, [(mu, math.log(sg), 0.0)], 2, _MAX_ITER, _TOL)
+    mu, t, _ = pts[0]
+    return _finish(BgParams(mu, math.exp(t), 0.0), x, steps[0], fix_delta=True)

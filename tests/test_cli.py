@@ -10,6 +10,7 @@ from bgumbel.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _parser,
     build_parser,
     main,
 )
@@ -40,6 +41,34 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["eval", "--mu", "1"])
         assert exc.value.code == 2
+
+    def test_parser_reuse_matches_fresh_parser(self, tmp_path, capsys):
+        # main builds its parser once per process: a usage error, a good run
+        # and a numeric error in a row must print and return what each does
+        # with a parser of its own.
+        const = tmp_path / "const.csv"
+        const.write_text("1.0\n" * 7)
+        calls = [
+            ["eval", "--mu", "1"],
+            ["eval", "--mu", "3", "--sigma", "2", "--delta", "0", "--what", "pdf", "--at", "3"],
+            ["fit", str(const)],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        in_row = [outcome(argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            _parser.cache_clear()
+            alone.append(outcome(argv))
+        assert [code for code, _, _ in in_row] == [EXIT_USAGE, EXIT_OK, EXIT_NUMERIC]
+        assert in_row == alone
 
 
 class TestEval:

@@ -21,7 +21,15 @@ from bgumbel import (
     log_likelihood,
     score,
 )
-from bgumbel.inference import _MAX_ITER, _TOL, _b_terms, _newton, _z_first_derivs
+from bgumbel.inference import (
+    _MAX_ITER,
+    _POLISH_STEPS,
+    _TOL,
+    _delta_grid,
+    _gumbel_moment_init,
+    _log_z,
+    _newton,
+)
 from helpers import fd_gradient, inverse_sampler, random_params
 
 EG = CONSTANTS.euler_gamma
@@ -81,6 +89,48 @@ def _random_instance(rng, n=60):
     return p, x
 
 
+def _test_data(request, series1774, name):
+    if name == "blocks60":
+        x = block_maxima(series1774, BlockMaximaConfig(60))
+        return x - x.mean()
+    if name.startswith("gumbel"):
+        n = int(name[len("gumbel"):])
+        return np.random.default_rng(n).gumbel(1.0, 2.0, n)
+    return request.getfixturevalue(name)
+
+
+def _oracle_profile(x, mu, sg, dl):
+    """max over (mu, sigma) of l at fixed delta, from (mu, sigma).
+
+    A damped Newton on the (mu, sigma) block of the public score and
+    hessian, solved by np.linalg.solve; a step that descends (an indefinite
+    block) is reversed, and each step is halved until l rises.  Stops when
+    no halving raises l or the Newton model promises less than rounding.
+    """
+    p, ll = BgParams(mu, sg, dl), log_likelihood(BgParams(mu, sg, dl), x)
+    for _ in range(500):
+        g = score(p, x)[:2]
+        y = np.linalg.solve(-hessian(p, x)[:2, :2], g)
+        gain = float(g @ y)
+        if gain < 0.0:
+            y, gain = -y, -gain
+        if gain <= 1e-15 * abs(ll):
+            return ll
+        lam = 1.0
+        for _ in range(60):
+            sg_c = p.sigma + lam * y[1]
+            if sg_c > 0.0:
+                q = BgParams(p.mu + lam * y[0], sg_c, dl)
+                l_q = log_likelihood(q, x)
+                if l_q > ll:
+                    break
+            lam *= 0.5
+        else:
+            return ll
+        p, ll = q, l_q
+    raise AssertionError(f"oracle Newton did not converge at delta = {dl}")
+
+
 class TestLogLikelihood:
     def test_single_point_gumbel_cancellation(self):
         # One observation at mu with delta = 0: everything cancels except
@@ -134,8 +184,8 @@ class TestScore:
                 assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
     def test_z_derivative_vanishes_at_delta_zero(self):
-        z_mu, z_sg, _ = _z_first_derivs(BgParams(1.3, 0.7, 0.0))
-        assert z_mu == 0.0 and z_sg == 0.0
+        _, (g_mu, g_t, _), _ = _log_z(1.3, 0.7, 0.0)
+        assert g_mu == 0.0 and g_t == 0.0
 
     def test_small_at_optimum(self):
         rng = np.random.default_rng(2)
@@ -408,23 +458,39 @@ class TestFitMle:
 
     @pytest.mark.parametrize("data", ["maxima29", "bimodal500", "blocks60", "gumbel100", "gumbel2000"])
     def test_profile_matches_scalar_newton(self, request, series1774, data):
-        # The oracle is the scalar fixed-delta Newton, started at every grid
+        # The oracle is a scalar fixed-delta Newton written here, on the
+        # public log_likelihood, score and hessian, started at every grid
         # delta from the Gumbel fit; none of the lockstep profile runs in it.
-        if data == "blocks60":
-            x = block_maxima(series1774, BlockMaximaConfig(60))
-            x = x - x.mean()
-        elif data.startswith("gumbel"):
-            n = int(data[len("gumbel"):])
-            x = np.random.default_rng(n).gumbel(1.0, 2.0, n)
-        else:
-            x = request.getfixturevalue(data)
+        x = _test_data(request, series1774, data)
         diag = fit_mle(x).diagnostics
         g = fit_gumbel_mle(x).params
         for dl, got in zip(diag.delta_grid, diag.profile_loglik):
-            ref = _newton(x, g.mu, g.sigma, dl, _MAX_ITER, _TOL, _b_terms(x, dl, False))[3][0]
+            ref = _oracle_profile(x, g.mu, g.sigma, dl)
             assert abs(got - ref) <= 1e-12 * abs(ref), dl
             # Not lower, beyond the rounding of sums over the data.
             assert got >= ref - 1e-14 * abs(ref), dl
+
+    @pytest.mark.parametrize("data", ["bimodal500", "blocks60"])
+    def test_newton_rows_do_not_interact(self, request, series1774, data):
+        # Rows stop at different steps (on blocks60 a grid-edge peak runs to
+        # the step cap), so lockstep must leave each row's polish as it
+        # would be alone, bit for bit.
+        x = _test_data(request, series1774, data)
+        mu0, sg0 = _gumbel_moment_init(x)
+        pts, prof, _ = _newton(x, [(mu0, math.log(sg0), d) for d in _delta_grid(x)], 2, _MAX_ITER, _TOL)
+        last = len(prof) - 1
+        peaks = [
+            k for k in range(len(prof))
+            if (k == 0 or prof[k] > prof[k - 1]) and (k == last or prof[k] >= prof[k + 1])
+        ]
+        assert len(peaks) >= 2
+        together = _newton(x, [pts[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
+        assert len(set(together[2])) > 1
+        if data == "blocks60":
+            assert max(together[2]) == _POLISH_STEPS
+        for j, k in enumerate(peaks):
+            alone = _newton(x, [pts[k]], 3, _POLISH_STEPS, 0.0)
+            assert [out[j] for out in together] == [out[0] for out in alone]
 
     def test_fit_memory_does_not_grow_with_grid(self):
         # The profile's row kernel works in blocks: 81 x 2000 temporaries at
