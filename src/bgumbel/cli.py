@@ -298,7 +298,7 @@ def _cmd_fit(args) -> int:
 
     report: dict = {"input": str(args.input), "n_raw": int(series.size)}
     data = series
-    if args.blocks:
+    if args.blocks is not None:
         cfg = BlockMaximaConfig(args.blocks, allow_partial_last_block=not args.no_partial_block)
         data = block_maxima(series, cfg)
         report["blocks"] = {
@@ -307,7 +307,7 @@ def _cmd_fit(args) -> int:
             "n_blocks": int(data.size),
         }
 
-    center = args.center if args.center is not None else bool(args.blocks)
+    center = args.center if args.center is not None else args.blocks is not None
     center_value = float(data.mean()) if center else 0.0
     if center:
         data = data - center_value
@@ -315,7 +315,7 @@ def _cmd_fit(args) -> int:
     report["center_value"] = center_value
     report["n"] = int(data.size)
 
-    lags = args.ljung_box_lags or max(min(10, data.size // 5), 1)
+    lags = args.ljung_box_lags if args.ljung_box_lags is not None else max(min(10, data.size // 5), 1)
     try:
         lb_stat, lb_p = ljung_box(data, lags)
         flagged = lb_p < LJUNG_BOX_SCREEN_LEVEL

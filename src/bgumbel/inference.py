@@ -21,8 +21,8 @@ every fit: it runs rows in lockstep, each evaluation forming G's sums for
 all its rows at once (the row kernel `_g_sums`) and the rest of each row's
 step in one elementwise function (`_row_step`: ln Z, the terms as `_terms`
 assembles them, and the LDL^T solve `_solve`).  It runs 2x2 at fixed delta
-for the profile's grid points and the ``init`` start, 3x3 for the polish of
-every maximum, and as one 2x2 row at delta = 0 for the Gumbel fit.
+for the profile's grid points, whose delta = 0 row is the Gumbel fit, and
+3x3 for the polish of every maximum.
 """
 from __future__ import annotations
 
@@ -102,9 +102,10 @@ class FitDiagnostics:
     ``profile_loglik[k]`` is the profile log likelihood at ``delta_grid[k]``.
     ``maxima`` holds every distinct polished local maximum, highest first.
     ``inner_steps`` counts the fixed-delta (2x2) Newton steps, summed over
-    the grid points and the ``init`` start, when given.
-    ``weakly_identified`` is set when the top two maxima differ by less than
-    chi2_1(0.95) / 2 ~ 1.92 in log likelihood.
+    the grid points.  ``weakly_identified`` is set when the top two maxima
+    differ by less than chi2_1(0.95) / 2 ~ 1.92 in log likelihood.
+    ``gumbel`` is the fit of the nested Gumbel model: the profile's
+    delta = 0 row, equal to ``fit_gumbel_mle`` on the same data.
     """
 
     delta_grid: tuple[float, ...]
@@ -112,6 +113,7 @@ class FitDiagnostics:
     maxima: tuple[LocalMaximum, ...]
     inner_steps: int
     weakly_identified: bool
+    gumbel: FitResult
 
 
 @dataclass(frozen=True)
@@ -241,11 +243,12 @@ def _g_sums(x: np.ndarray, mu: np.ndarray, sg: np.ndarray) -> np.ndarray:
     caller's to silence.
     """
     out = np.zeros((4, mu.size))
+    add = np.add.reduce  # the bits of .sum(axis=1), at less overhead a call
     for r, c in _blocks(x.size, mu.size):
         w = (x[c] - mu[r, None]) / sg[r, None]
         e = np.exp(-w)
         we = w * e
-        out[:, r] += (e.sum(axis=1), we.sum(axis=1), np.einsum("ij,ij->i", we, w), w.sum(axis=1))
+        out[:, r] += (add(e, 1), add(we, 1), np.einsum("ij,ij->i", we, w), add(w, 1))
     return out
 
 
@@ -519,47 +522,38 @@ def _fit_data(data) -> np.ndarray:
     return x
 
 
-def fit_mle(data, init: BgParams | None = None) -> FitResult:
+def fit_mle(data) -> FitResult:
     """Maximum-likelihood fit of the full three-parameter model.
 
     A profile-likelihood search in delta, which can hold several local
     maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
     profile l_p(delta) = max over (mu, sigma) of l is computed by the damped
     Newton `_newton` in (mu, ln sigma) at fixed delta, every grid point
-    started from the Gumbel moment estimates and all 81 run together;
-    ``init``, when given, is one more row, at its own delta and from its own
-    start.  At each fixed delta the Newton stops after 500 steps or at a
-    gradient of 1e-9 per observation.  The same Newton, now in
-    (mu, ln sigma, delta), then polishes every local maximum of the grid and
-    the ``init`` result together, each until a step gains nothing above
-    rounding (at most 40 steps), and the highest maximum is returned, near
-    ties (within 1e-8 per observation) going to the smaller |delta|.  The
-    profile and all maxima are in ``diagnostics``.  A result with
+    started from the Gumbel moment estimates and all 81 run together.  At
+    each fixed delta the Newton stops after 500 steps or at a gradient of
+    1e-9 per observation.  The same Newton, now in (mu, ln sigma, delta),
+    then polishes every local maximum of the grid together, each until a
+    step gains nothing above rounding (at most 40 steps), and the highest
+    maximum is returned, near ties (within 1e-8 per observation) going to
+    the smaller |delta|.  The profile, all maxima and the Gumbel fit (the
+    grid's delta = 0 row) are in ``diagnostics``.  A result with
     ``converged=False`` is still returned so callers can inspect the partial
     fit.
     """
     x = _fit_data(data)
     grid = _delta_grid(x)
-    rows = grid.size
     mu0, sg0 = _gumbel_moment_init(x)
     starts = [(mu0, math.log(sg0), dl) for dl in grid.tolist()]
-    if init is not None:
-        starts.append((init.mu, math.log(init.sigma), init.delta))
-    pts, values, steps = _newton(x, starts, 2, _MAX_ITER, _TOL)
+    rows, profile, steps = _newton(x, starts, 2, _MAX_ITER, _TOL)
     inner = sum(steps)
-    profile = values[:rows]
 
-    last = rows - 1
+    last = grid.size - 1
     peaks = [
-        k for k in range(rows)
+        k for k in range(grid.size)
         if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
-    ] or [rows // 2]
+    ] or [_GRID_HALF]
     edges = [k in (0, last) for k in peaks]
-    if init is not None:
-        peaks.append(rows)
-        edges.append(False)
-    pts, _, steps = _newton(x, [pts[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
-    total = inner + sum(steps)
+    pts, _, polish = _newton(x, [rows[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
 
     maxima: list[LocalMaximum] = []
     for (mu, t, dl), edge in zip(pts, edges):
@@ -578,14 +572,16 @@ def fit_mle(data, init: BgParams | None = None) -> FitResult:
         (m for m in maxima if m.log_likelihood >= top - _TIE_TOL * x.size),
         key=lambda m: abs(m.params.delta),
     )
+    mu, t, _ = rows[_GRID_HALF]  # delta = 0: the Gumbel fit
     diagnostics = FitDiagnostics(
         delta_grid=tuple(grid.tolist()),
         profile_loglik=tuple(profile),
         maxima=tuple(maxima),
         inner_steps=inner,
         weakly_identified=len(maxima) > 1 and top - maxima[1].log_likelihood < _WEAK_GAP,
+        gumbel=_finish(BgParams(mu, math.exp(t), 0.0), x, steps[_GRID_HALF], fix_delta=True),
     )
-    return replace(_finish(best.params, x, total, fix_delta=False), diagnostics=diagnostics)
+    return replace(_finish(best.params, x, inner + sum(polish), fix_delta=False), diagnostics=diagnostics)
 
 
 def _same_point(a: BgParams, b: BgParams) -> bool:
@@ -598,8 +594,8 @@ def _same_point(a: BgParams, b: BgParams) -> bool:
 def fit_gumbel_mle(data) -> FitResult:
     """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
 
-    The fixed-delta Newton of ``fit_mle``'s profile, as one row at
-    delta = 0, from the moment estimates.
+    ``fit_mle``'s profile row at delta = 0 alone, the same fit as its
+    ``diagnostics.gumbel``.
     """
     x = _fit_data(data)
     mu, sg = _gumbel_moment_init(x)

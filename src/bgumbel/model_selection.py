@@ -206,7 +206,8 @@ def compare_models(data) -> ModelComparison:
 
     Preference goes to the lowest AIC, ties broken by lowest BIC and then by
     fewer parameters.  A failure in one model is recorded without aborting
-    the other; when both fail, the first failure is raised.
+    the other; when both fail, the first failure is raised.  The Gumbel fit
+    is the BG fit's delta = 0 profile row, unless the BG fit failed.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 5:
@@ -217,7 +218,7 @@ def compare_models(data) -> ModelComparison:
     failures: dict[str, Exception] = {}
     for name, (fitter, _) in _MODELS.items():
         try:
-            fits[name] = fitter(x)
+            fits[name] = fits["bg"].diagnostics.gumbel if name == "gumbel" and "bg" in fits else fitter(x)
             results[name] = _gof_for_fit(fits[name], x, name)
         except Exception as exc:  # noqa: BLE001 - per-model isolation is the contract
             failures[name] = exc

@@ -280,6 +280,17 @@ class TestFit:
             reports.append(payload)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--blocks", "0", "block_length must be >= 1"),
+        ("--blocks", "-3", "block_length must be >= 1"),
+        ("--ljung-box-lags", "0", "lags must be >= 1"),
+        ("--ljung-box-lags", "-1", "lags must be >= 1"),
+    ])
+    def test_non_positive_option_is_usage_error(self, fixtures_dir, capsys, option, value, message):
+        assert run(["fit", str(fixtures_dir / "maxima29.csv"), "--model", "gumbel",
+                    option, value]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["fit", "/nonexistent/file.csv"]) == EXIT_USAGE
 

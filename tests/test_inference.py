@@ -364,7 +364,7 @@ class TestFitMle:
         rng = np.random.default_rng(12)
         sampler = inverse_sampler(BgParams(1, 1, 2))
         x = sampler(rng, 2000)
-        fit = fit_mle(x, init=BgParams(1.0, 1.0, 2.0))
+        fit = fit_mle(x)  # from the profile alone, with no start at the truth
         assert fit.converged
 
 
@@ -399,6 +399,8 @@ class TestFitMle:
             fit_gumbel_mle(maxima29).log_likelihood, rel=1e-12
         )
         assert diag.inner_steps > 0
+        # The delta = 0 row is the Gumbel fit, bit for bit.
+        assert diag.gumbel == fit_gumbel_mle(maxima29)
 
     @pytest.mark.parametrize("blocks", [None, 60])
     def test_grid_edge_maximum_stays_finite(self, series1774, blocks):
@@ -433,12 +435,13 @@ class TestFitMle:
         # Newton step points downhill.
         x = np.random.default_rng(22).gumbel(-1e4, 3.0, 300)
         g = fit_gumbel_mle(x).params
-        fit = fit_mle(x, init=BgParams(g.mu, g.sigma, -2.4e-3))
+        (mu, t, dl), = _newton(x, [(g.mu, math.log(g.sigma), -2.4e-3)], 3, _POLISH_STEPS, 0.0)[0]
+        points = [BgParams(mu, math.exp(t), dl)]
+        points += [m.params for m in fit_mle(x).diagnostics.maxima if not m.at_grid_edge]
         rms = math.sqrt(np.mean(x * x))
-        for m in fit.diagnostics.maxima:
-            if not m.at_grid_edge:
-                units = np.array([m.params.sigma, m.params.sigma, 1.0 / rms])
-                assert np.max(np.abs(score(m.params, x) * units)) <= 1e-7
+        for p in points:
+            units = np.array([p.sigma, p.sigma, 1.0 / rms])
+            assert np.max(np.abs(score(p, x) * units)) <= 1e-7
 
     def test_mostly_tied_data(self):
         # The median absolute deviation is 0, so the grid's reach comes

@@ -235,6 +235,22 @@ class TestCompareModels:
         with pytest.raises(InsufficientDataError):
             compare_models([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("fixture", ["maxima29", "bimodal500"])
+    def test_gumbel_fit_is_the_profile_centre(self, request, fixture):
+        x = request.getfixturevalue(fixture)
+        assert compare_models(x).gumbel_fit == fit_gumbel_mle(x)
+
+    def test_bg_failure_leaves_gumbel_fit(self, monkeypatch, maxima29):
+        def fail(x):
+            raise RuntimeError("no BG fit")
+
+        monkeypatch.setattr(bgumbel.model_selection, "fit_mle", fail)
+        cmp_res = compare_models(maxima29)
+        assert cmp_res.bg is None and cmp_res.bg_fit is None
+        assert cmp_res.errors["bg"] == "RuntimeError: no BG fit"
+        assert cmp_res.preferred == "gumbel"
+        assert cmp_res.gumbel_fit == fit_gumbel_mle(maxima29)
+
 
 class TestReadSeriesCsv:
     def test_header_optional(self, tmp_path):
