@@ -8,8 +8,9 @@ since f'(x) = f(x) g(x).  The density is bimodal exactly when g has three
 roots r1 < r2 < r3: the outer two are modes, the middle one the antimode.
 A sufficient condition set C on (mu, sigma, delta), together with an
 x-interval D on which g is strictly increasing, guarantees that root
-structure; both are evaluated here as diagnostics alongside a fully general
-grid-plus-``brentq`` root search.
+structure; both are evaluated here as diagnostics alongside a general root
+search: one grid of a window proven to hold every root of g, its sign changes
+refined by ``brentq``.
 """
 from __future__ import annotations
 
@@ -33,9 +34,6 @@ __all__ = [
     "hazard",
     "tail_rate",
 ]
-
-_GRID_SIZES = (4096, 8192, 16384, 32768, 65536)
-_MIN_ABS_DELTA = 0.05  # caps the search-window widening for small |delta|
 
 
 @dataclass(frozen=True)
@@ -89,16 +87,26 @@ def critical_function_g(p: BgParams, x: float | np.ndarray) -> float | np.ndarra
 
 
 def check_condition_c(p: BgParams) -> ConditionCReport:
-    """Evaluate the four sufficient inequalities for a three-root structure."""
+    """Evaluate the four sufficient inequalities for a three-root structure.
+
+    An exponential too large for a float is taken as inf, so each inequality
+    takes its limit there: 1 and 4 are false, 2 and 3 true.
+    """
     mu, sg, dl = p.mu, p.sigma, p.delta
 
     def ratio(u: float) -> float:
         return 2.0 * dl * u / (u * u + 1.0)
 
-    c1 = dl > max(1.0, (math.exp(mu / sg) - 1.0) / sg)
-    c2 = ratio(1.0 + dl) < (math.exp((1.0 + mu) / sg) - 1.0) / sg
-    c3 = ratio(1.0 - 2.0 * dl) < (math.exp(-(2.0 - mu) / sg) - 1.0) / sg
-    c4 = ratio(1.0 - 3.0 * dl) > (math.exp(-(3.0 - mu) / sg) - 1.0) / sg
+    def exp(t: float) -> float:  # math.exp, but inf where it overflows
+        try:
+            return math.exp(t)
+        except OverflowError:
+            return math.inf
+
+    c1 = dl > max(1.0, (exp(mu / sg) - 1.0) / sg)
+    c2 = ratio(1.0 + dl) < (exp((1.0 + mu) / sg) - 1.0) / sg
+    c3 = ratio(1.0 - 2.0 * dl) < (exp(-(2.0 - mu) / sg) - 1.0) / sg
+    c4 = ratio(1.0 - 3.0 * dl) > (exp(-(3.0 - mu) / sg) - 1.0) / sg
     return ConditionCReport(c1 and c2 and c3 and c4, c1, c2, c3, c4)
 
 
@@ -125,17 +133,29 @@ def d_interval(p: BgParams) -> tuple[float, float] | None:
     return (roots[0][0], roots[-1][0]) if roots else None
 
 
-def _search_grid(p: BgParams, n: int) -> np.ndarray:
-    """Root-search abscissae: wide window plus clusters at both natural scales."""
-    reach = 10.0 / max(abs(p.delta), _MIN_ABS_DELTA)
-    lo = p.mu - 10.0 * p.sigma - reach
-    hi = p.mu + 10.0 * p.sigma + reach
-    pieces = [np.linspace(lo, hi, n)]
-    pieces.append(np.linspace(p.mu - 8.0 * p.sigma, p.mu + 8.0 * p.sigma, n // 2))
-    if p.delta != 0.0:
-        # The rational term varies on the 1/delta scale around x = 1/delta.
-        c, r = 1.0 / p.delta, 3.0 / abs(p.delta)
-        pieces.append(np.linspace(max(lo, c - r), min(hi, c + r), n // 2))
+def _search_grid(p: BgParams) -> np.ndarray:
+    """Root-search abscissae on a window [lo, hi] proven to hold every root of g.
+
+    Write g = (e^-w - 1)/sigma - r with w = (x - mu)/sigma, u = 1 - delta x
+    and r = 2 delta u/(u^2 + 1), so |r| <= |delta| and |r| < 2|delta|/|u|.
+    For x <= lo = mu - sigma (1 + ln(1 + sigma|delta|)), e^-w is at least
+    e (1 + sigma|delta|), so g >= (e - 1)(1/sigma + |delta|) > 0.  For
+    x >= mu + sigma ln 2, e^-w <= 1/2, and |r| < 1/(2 sigma) too: by
+    |r| <= |delta| if sigma|delta| < 1/2, else for x >= 1/delta + 4 sigma,
+    where |u| >= 4 sigma|delta|.  So g < 0 for x >= hi, the bound the case
+    needs, and any grid of [lo, hi] shows an odd number of sign changes.
+    The grid: 4096 points on [lo, hi] and 2048 on each of mu +- 8 sigma and
+    1/delta +- 3/|delta| (where the rational term varies), clipped to [lo, hi].
+    """
+    mu, sg, dl = p.mu, p.sigma, p.delta
+    lo = mu - sg * (1.0 + math.log1p(sg * abs(dl)))
+    hi = mu + sg * math.log(2.0)
+    if sg * abs(dl) >= 0.5:
+        hi = max(hi, 1.0 / dl + 4.0 * sg)
+    pieces = [np.linspace(lo, hi, 4096)]
+    for c, r in [(mu, 8.0 * sg)] + ([(1.0 / dl, 3.0 / abs(dl))] if dl else []):
+        if max(lo, c - r) < min(hi, c + r):
+            pieces.append(np.linspace(max(lo, c - r), min(hi, c + r), 2048))
     return np.unique(np.concatenate(pieces))
 
 
@@ -143,24 +163,12 @@ def find_modes(p: BgParams) -> ShapeReport:
     """Locate all critical points of the density and classify the shape.
 
     Works for arbitrary valid parameters; the condition-set diagnostics are
-    reported but never gate the search.  Roots are bracketed on an adaptive
-    grid and refined by ``brentq``; a sign change + -> - marks a mode and
-    - -> + marks the antimode.
+    reported but never gate the search.  The roots of g are bracketed on one
+    grid of a window proven to hold them all (``_search_grid``) and refined
+    by ``brentq``; + -> - marks a mode and - -> + the antimode.  A pair of
+    roots closer together than the grid spacing can still go unseen.
     """
-    for n in _GRID_SIZES:
-        # A root where g falls (+ -> -) is a mode: the density rises then falls.
-        roots = _roots(lambda x: critical_function_g(p, x), _search_grid(p, n))
-        # g -> +inf on the far left and -> -1/sigma on the far right, so the
-        # number of simple roots must be odd; an even count means a pair is
-        # hiding between grid nodes.
-        if len(roots) % 2 == 1:
-            break
-    else:
-        raise RootIsolationError(
-            f"could not isolate an odd number of critical points for {p}; "
-            f"found {len(roots)} sign changes at the finest grid"
-        )
-
+    roots = _roots(lambda x: critical_function_g(p, x), _search_grid(p))
     modes = tuple(r for r, is_mode in roots if is_mode)
     antimodes = tuple(r for r, is_mode in roots if not is_mode)
     if len(modes) == 1 and not antimodes:

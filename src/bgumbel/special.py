@@ -288,13 +288,15 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
 
 
 def _roots(f, xs: np.ndarray) -> list[tuple[float, bool]]:
-    """Every sign change of the vectorized ``f`` between neighbours of the grid ``xs``.
+    """Every change of the vectorized ``f`` between > 0 and <= 0 on the grid ``xs``.
 
     Each is refined by ``brentq`` (xtol 1e-12, rtol 8.9e-16) on ``f`` called
-    with a scalar.  Returns ascending (root, f falls there) pairs.
+    with a scalar.  Returns ascending (root, f falls there) pairs.  A node
+    where f is exactly 0 sides with the nonpositive values, so a simple root
+    there is found once, with its right flag.
     """
-    sgn = np.sign(f(xs))
+    pos = f(xs) > 0
     return [
-        (brentq(lambda t: float(f(t)), xs[i], xs[i + 1], xtol=1e-12, rtol=8.9e-16), bool(sgn[i] > 0))
-        for i in np.flatnonzero(np.diff(sgn) != 0)
+        (brentq(lambda t: float(f(t)), xs[i], xs[i + 1], xtol=1e-12, rtol=8.9e-16), bool(pos[i]))
+        for i in np.flatnonzero(pos[1:] != pos[:-1])
     ]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,6 +23,43 @@ CANONICAL = BgParams(1.0, 1.0, 2.0)
 # High-precision critical points of the canonical bimodal parameter set.
 R1, R2, R3 = -0.0896138, 0.389792, 2.79117
 D_LO, D_HI = 0.132178, 0.937349
+
+
+def _mp_critical_points(mu, sigma, delta, lo, hi, n):
+    """(root, f'/f falls there) pairs of f'/f on [lo, hi], at 40 digits.
+
+    f'/f = d/dx [ln(1 + u^2) - w - e^-w] with u = 1 - delta x and
+    w = (x - mu)/sigma.  Its signs are scanned at n even points, which must
+    start positive and end negative, and each change is bisected 80 times.
+    """
+    with mp.workdps(40):
+        mu, sigma, delta = mp.mpf(mu), mp.mpf(sigma), mp.mpf(delta)
+
+        def positive(x):
+            u = 1 - delta * x
+            return -2 * delta * u / (1 + u * u) + (mp.exp(-(x - mu) / sigma) - 1) / sigma > 0
+
+        xs = mp.linspace(mp.mpf(lo), mp.mpf(hi), n)
+        pos = [positive(x) for x in xs]
+        assert pos[0] and not pos[-1]
+        out = []
+        for i in np.flatnonzero(np.diff(pos)):
+            a, b = xs[i], xs[i + 1]
+            for _ in range(80):
+                if positive((a + b) / 2) == pos[i]:
+                    a = (a + b) / 2
+                else:
+                    b = (a + b) / 2
+            out.append((float(a), pos[i]))
+        return out
+
+
+def _wide_box(rng, n):
+    """mu in [-20, 20], sigma = 10^U(-2, 1.5), |delta| = 10^U(-4, 3), one in ten 0."""
+    mu, sg = rng.uniform(-20, 20, n), 10.0 ** rng.uniform(-2, 1.5, n)
+    dl = 10.0 ** rng.uniform(-4, 3, n) * rng.choice([-1.0, 1.0], n)
+    dl[rng.uniform(size=n) < 0.1] = 0.0
+    return [BgParams(*map(float, t)) for t in zip(mu, sg, dl)]
 
 
 class TestCriticalFunction:
@@ -57,6 +95,14 @@ class TestConditionC:
 
     def test_gumbel_case_fails(self):
         assert not check_condition_c(BgParams(0.0, 1.0, 0.0)).holds
+
+    def test_overflowing_exponential_takes_its_limit(self):
+        # mu/sigma, (1 + mu)/sigma and (mu - 2)/sigma pass 709.78, where
+        # math.exp overflows; (mu - 3)/sigma does not.
+        rep = check_condition_c(BgParams(13.84, 0.0165, 65.6))
+        assert (rep.inequality1, rep.inequality2, rep.inequality3, rep.inequality4) == (
+            False, True, True, False)
+        assert not rep.holds
 
 
 class TestDInterval:
@@ -135,15 +181,42 @@ class TestFindModes:
 
     def test_random_parameters_classify_cleanly(self):
         rng = np.random.default_rng(12)
-        for _ in range(25):
-            p = BgParams(rng.uniform(-2, 2), rng.uniform(0.3, 3), rng.uniform(-3, 3))
+        box = [BgParams(rng.uniform(-2, 2), rng.uniform(0.3, 3), rng.uniform(-3, 3))
+               for _ in range(25)]
+        # g is steep at the roots of the wide box (up to |delta|^2 = 1e6 per
+        # unit), so there each root is checked as a sign change of g instead.
+        wide = _wide_box(np.random.default_rng(2), 1000)
+        for k, p in enumerate(box + wide):
             rep = find_modes(p)
             assert rep.modality in ("unimodal", "bimodal")
             if rep.modality == "bimodal":
                 assert rep.modes[0] < rep.antimode < rep.modes[1]
-            points = list(rep.modes) + ([rep.antimode] if rep.antimode is not None else [])
-            for r in points:
-                assert abs(critical_function_g(p, r)) < 1e-9
+            points = [(m, True) for m in rep.modes]
+            points += [(rep.antimode, False)] if rep.antimode is not None else []
+            for r, falls in points:
+                if k < len(box):
+                    assert abs(critical_function_g(p, r)) < 1e-9
+                else:
+                    h = 1e-10 * max(1.0, abs(r))
+                    left, right = critical_function_g(p, r - h), critical_function_g(p, r + h)
+                    assert (left > 0 > right) if falls else (left < 0 < right)
+
+    @pytest.mark.parametrize("theta, window, expected", [
+        # The right mode lies 45 sigma (first) and 16 sigma (second) right of the left.
+        ((-14.0, 0.327, 4.84), (-20.0, 5.0), (-14.0147, 0.28015, 0.78707)),
+        ((-3.5, 0.2635, 7.84), (-6.0, 4.0), (-3.53538, 0.16048, 0.62162)),
+        # exp(mu / sigma) overflows a float in the condition-set check.
+        ((13.84, 0.0165, 65.6), (-1.0, 15.0), (13.84004,)),
+    ])
+    def test_named_triples_against_mpmath_scan(self, theta, window, expected):
+        oracle = _mp_critical_points(*theta, *window, 5001)
+        assert [r for r, _ in oracle] == pytest.approx(expected, abs=1e-5)
+        rep = find_modes(BgParams(*theta))
+        assert rep.modality == ("bimodal" if len(oracle) == 3 else "unimodal")
+        antimodes = (rep.antimode,) if rep.antimode is not None else ()
+        for got, falls in ((rep.modes, True), (antimodes, False)):
+            want = [r for r, f in oracle if f == falls]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestHazard:

@@ -15,6 +15,7 @@ from bgumbel import (
     trigamma,
     upper_incomplete_gamma,
 )
+from bgumbel.special import _roots
 from helpers import simpson_log_moment
 
 EG = CONSTANTS.euler_gamma
@@ -216,3 +217,10 @@ class TestGammaDerivatives:
             gamma_deriv(2, 0.0)
         with pytest.raises(ValueError):
             gamma_deriv(5, 1.0)
+
+
+class TestRoots:
+    def test_exact_zero_at_a_node_is_one_root(self):
+        xs = np.linspace(-1.0, 1.0, 5)  # 0.0 is a node
+        assert _roots(lambda x: x, xs) == [(0.0, False)]
+        assert _roots(lambda x: -x, xs) == [(0.0, True)]
