@@ -71,6 +71,12 @@ _WEAK_GAP = 0.5 * 3.841458820694124
 # Elements per block of the row kernel `_g_sums`: 81 x n temporaries of a
 # large sample leave the cache, and fresh large arrays cost page faults.
 _CHUNK = 1 << 14
+# Free one 1 MiB block at import.  glibc then raises its dynamic mmap
+# threshold to 1 MiB and its heap trim threshold to twice that (mallopt(3)).
+# At the default 128 KiB trim threshold, the heap top freed after every fit
+# is given back and page-faulted in again by the next: ~1000 minor faults
+# a fit on 2000 points.
+np.empty(1 << 17)
 # Rows up to which `_newton` evaluates row by row in Python floats, where
 # numpy's cost of about 1 us a call would exceed the arithmetic.
 _FEW = 8

@@ -12,11 +12,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as sc
 
 from .distribution import bg_cdf, gumbel_cdf
 from .errors import InsufficientDataError
 from .inference import FitResult, fit_gumbel_mle, fit_mle
+from .special import _chi2_sf, _kolmogorov_sf
 
 __all__ = [
     "BlockMaximaConfig",
@@ -119,7 +119,8 @@ def ljung_box(series: Sequence[float], lags: int) -> tuple[float, float]:
     """Ljung-Box portmanteau test of serial independence.
 
     Q = n (n + 2) sum_{k=1}^{lags} rho_k^2 / (n - k), with a chi-square(lags)
-    p-value.  Returns (statistic, p_value).
+    p-value, computed in pure Python as a finite sum
+    (:func:`~bgumbel.special._chi2_sf`).  Returns (statistic, p_value).
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
@@ -136,7 +137,7 @@ def ljung_box(series: Sequence[float], lags: int) -> tuple[float, float]:
         rho = float(np.sum(xc[:-k] * xc[k:])) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
-    return q, float(sc.chdtrc(lags, q))
+    return q, _chi2_sf(q, lags)
 
 
 def ks_test(data, cdf: Callable[[float], float]) -> tuple[float, float]:
@@ -144,7 +145,7 @@ def ks_test(data, cdf: Callable[[float], float]) -> tuple[float, float]:
 
     D = sup_x |F_n(x) - F(x)| evaluated from both sides of the empirical step
     function; the p-value uses the asymptotic Kolmogorov distribution of
-    sqrt(n) D.
+    sqrt(n) D, summed in pure Python (:func:`~bgumbel.special._kolmogorov_sf`).
     """
     x = np.sort(np.asarray(data, dtype=float).ravel())
     if x.size == 0:
@@ -159,7 +160,7 @@ def _ks_statistic(f: np.ndarray) -> tuple[float, float]:
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1) / n))
     d = max(d_plus, d_minus)
-    return d, float(sc.kolmogorov(math.sqrt(n) * d))
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:

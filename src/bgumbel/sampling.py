@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .distribution import BgParams, _bracket, bg_cdf, bg_moment_set, bg_pdf, normalizer
 from .errors import RegimeError
@@ -185,8 +184,11 @@ def representation_sample(p: BgParams, n: int, seed: int) -> np.ndarray:
     Requires delta * (mu + sigma * gamma) < 0, the regime in which the
     mixture probabilities (p1, p2, p3) are all nonnegative.  Uniform variates
     are pushed through a monotone interpolant of the tabulated mixture
-    distribution function p1 F0 + p2 F1 + p3 F2.
+    distribution function p1 F0 + p2 F1 + p3 F2: SciPy's PCHIP, imported
+    here so that ``import bgumbel`` loads no SciPy.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if n < 1:
         raise ValueError("n must be positive")
     m = p.mu + p.sigma * _EG

@@ -12,7 +12,16 @@ and below z, by Gauss-Laguerre for z >= 2 and a power series below.  The
 distribution functions and :func:`incomplete_log_moment` are wrappers over
 it.  Every complete integral, hence every moment, comes from the private
 :func:`_log_poly_gamma`.  The private :func:`_roots` is the one bracketed
-root search of the package (the modes and the interval D).
+root search of the package (the modes and the interval D); it refines each
+root with :func:`_brentq`, a port of Brent's method as SciPy's
+``optimize/Zeros/brentq.c`` writes it (Brent 1973, ch. 4), which gives the
+same floats.  The goodness-of-fit p-values come from the pure-Python
+:func:`_kolmogorov_sf` and :func:`_chi2_sf`.
+
+So ``import bgumbel``, every fit and every moment at a = 1 or 2 need no
+SciPy.  Only :func:`upper_incomplete_gamma`, :func:`digamma`,
+:func:`trigamma`, :func:`gamma_deriv` and the gamma derivatives at any other
+a import ``scipy.special``, inside the function.
 """
 from __future__ import annotations
 
@@ -20,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
-from scipy.optimize import brentq
 
 from .errors import DivergentIntegralError
 
@@ -78,6 +85,18 @@ _LOG_MOMENT_CONSTANTS = (
 )
 # Gamma^(j)(1) = (-1)^j I(j; 0, inf).
 _GAMMA_DERIVS_AT_1 = tuple((-1.0) ** j * c for j, c in enumerate(_LOG_MOMENT_CONSTANTS))
+# Gamma^(j)(2) = Gamma^(j)(1) + j Gamma^(j-1)(1), from Gamma(x + 1) = x Gamma(x),
+# rounded from 60 digits: that sum of the floats above cancels, down to three
+# correct digits at j = 5.
+_GAMMA_DERIVS_AT_2 = (
+    1.0,
+    0.42278433509846713,
+    0.8236806608528794,
+    0.4894615154825176,
+    1.7819762580843335,
+    -0.03203784824940177,
+    8.030912917054314,
+)
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
@@ -86,6 +105,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     Supports a = 0, where Gamma(0, x) equals the exponential integral E1(x),
     and nonnegative a in general.  Gamma(0, 0) diverges.
     """
+    from scipy import special as sc
+
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if a == 0.0:
@@ -228,6 +249,8 @@ def digamma(x: float) -> float:
     """Digamma function psi(x) = Gamma'(x) / Gamma(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
+    from scipy import special as sc
+
     return float(sc.digamma(x))
 
 
@@ -235,6 +258,8 @@ def trigamma(x: float) -> float:
     """Trigamma function psi'(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"trigamma requires x > 0, got {x}")
+    from scipy import special as sc
+
     return float(sc.polygamma(1, x))
 
 
@@ -256,6 +281,8 @@ def gamma_deriv(i: int, x: float) -> float:
 
 def _gamma_derivs(n: int, x: float) -> tuple[float, ...]:
     """Gamma^(i)(x) for i = 0..min(n, 4), by the polygamma forms of gamma_deriv."""
+    from scipy import special as sc
+
     gam = float(sc.gamma(x))
     if n == 0:
         return (gam,)
@@ -275,13 +302,16 @@ def _gamma_derivs(n: int, x: float) -> tuple[float, ...]:
 def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
     """int_0^inf q(ln v) v^(a-1) e^-v dv = sum_j q_j Gamma^(j)(a), for a > 0.
 
-    ``q`` holds the coefficients of 1, ln v, ln^2 v, ...  At a = 1 the
-    derivatives are the exact constants (-1)^j I(j; 0, inf), j = 0..6; at
-    any other a they come from the polygamma forms, j = 0..4.  With
+    ``q`` holds the coefficients of 1, ln v, ln^2 v, ...  At a = 1 and 2 the
+    derivatives, j = 0..6, come from the exact constants (-1)^j I(j; 0, inf);
+    at any other a from the polygamma forms, j = 0..4.  With
     X = mu - sigma ln V, every moment, exponential moment and Fisher
     expectation of the package is this sum for some q and a.
     """
-    derivs = _GAMMA_DERIVS_AT_1 if a == 1.0 else _gamma_derivs(len(q) - 1, a)
+    if a == 1.0 or a == 2.0:
+        derivs = _GAMMA_DERIVS_AT_1 if a == 1.0 else _GAMMA_DERIVS_AT_2
+    else:
+        derivs = _gamma_derivs(len(q) - 1, a)
     if len(q) > len(derivs):
         raise ValueError(f"log-polynomial degree {len(q) - 1} exceeds {len(derivs) - 1} at a = {a}")
     return sum(c * g for c, g in zip(q, derivs))
@@ -290,13 +320,112 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
 def _roots(f, xs: np.ndarray) -> list[tuple[float, bool]]:
     """Every change of the vectorized ``f`` between > 0 and <= 0 on the grid ``xs``.
 
-    Each is refined by ``brentq`` (xtol 1e-12, rtol 8.9e-16) on ``f`` called
-    with a scalar.  Returns ascending (root, f falls there) pairs.  A node
-    where f is exactly 0 sides with the nonpositive values, so a simple root
-    there is found once, with its right flag.
+    Each is refined by :func:`_brentq` (xtol 1e-12, rtol 8.9e-16) on ``f``
+    called with a float.  Returns ascending (root, f falls there) pairs.  A
+    node where f is exactly 0 sides with the nonpositive values, so a simple
+    root there is found once, with its right flag.
     """
     pos = f(xs) > 0
     return [
-        (brentq(lambda t: float(f(t)), xs[i], xs[i + 1], xtol=1e-12, rtol=8.9e-16), bool(pos[i]))
+        (_brentq(lambda t: float(f(t)), float(xs[i]), float(xs[i + 1])), bool(pos[i]))
         for i in np.flatnonzero(pos[1:] != pos[:-1])
     ]
+
+
+_XTOL, _RTOL, _ITERATIONS = 1e-12, 8.9e-16, 100  # of _brentq
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of ``f`` in [xa, xb], where f changes sign, by Brent's method.
+
+    A line-for-line port of SciPy's ``optimize/Zeros/brentq.c``, so it
+    returns the same float as ``scipy.optimize.brentq`` with xtol 1e-12,
+    rtol 8.9e-16 and at most 100 iterations.  Each step takes the inverse
+    quadratic (or secant) step when it is short enough and bisects
+    otherwise, and the search stops when half the bracket is under
+    (xtol + rtol |x|) / 2.  A NaN value of f raises ValueError, as does a
+    bracket without a sign change; running out of iterations raises
+    RuntimeError.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge in {_ITERATIONS} iterations; last x = {xcur}")
+
+
+def _kolmogorov_sf(y: float) -> float:
+    """P(K > y) for the Kolmogorov distribution K, the limit law of sqrt(n) D_n.
+
+    For y >= 1 the alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2);
+    below 1, one minus the theta-function form of the distribution
+    function, (sqrt(2 pi)/y) sum_k exp(-(2k - 1)^2 pi^2 / (8 y^2))
+    (Marsaglia, Tsang & Wang 2003).  Five terms of either leave a
+    remainder below 1e-30 of the sum.  Below y = 0.1 the distribution
+    function is under 1e-50, so the result is 1.
+    """
+    ks = range(5, 0, -1)  # smallest term first
+    if y >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y) for k in ks)
+    if y < 0.1:
+        return 1.0
+    t = _PI * _PI / (8.0 * y * y)
+    return 1.0 - math.sqrt(2.0 * _PI) / y * sum(math.exp(-(2 * k - 1) ** 2 * t) for k in ks)
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """P(X > x) for X chi-square with an integer number k >= 1 of degrees of freedom.
+
+    With lam = x/2 this is the regularized upper gamma function Q(k/2, lam).
+    Q(a, lam) = Q(a - 1, lam) + lam^(a-1) e^-lam / Gamma(a) steps down to
+    Q(1, lam) = e^-lam for even k and Q(1/2, lam) = erfc(sqrt(lam)) for odd
+    k, so Q is a finite sum: a Poisson tail for even k and erfc plus a sum
+    for odd k.  Each term is exp(nu ln lam - lam - lgamma(nu + 1)), so none
+    overflows or underflows while it still counts, at any k and x.
+    """
+    if not x > 0.0:
+        return 1.0
+    lam = 0.5 * x
+    ln_lam = math.log(lam)
+    half = 0.5 * (k % 2)
+    nus = [j + half for j in range(k // 2)]
+    terms = sum(math.exp(nu * ln_lam - lam - math.lgamma(nu + 1.0)) for nu in nus)
+    return (math.erfc(math.sqrt(lam)) if half else 0.0) + terms

@@ -130,3 +130,11 @@ def random_params(rng: np.random.Generator, delta_scale: float = 1.5) -> BgParam
         sigma=float(rng.uniform(0.3, 3.0)),
         delta=float(rng.uniform(-delta_scale, delta_scale)),
     )
+
+
+def wide_box(rng: np.random.Generator, n: int) -> list[BgParams]:
+    """mu in [-20, 20], sigma = 10^U(-2, 1.5), |delta| = 10^U(-4, 3), one in ten 0."""
+    mu, sg = rng.uniform(-20, 20, n), 10.0 ** rng.uniform(-2, 1.5, n)
+    dl = 10.0 ** rng.uniform(-4, 3, n) * rng.choice([-1.0, 1.0], n)
+    dl[rng.uniform(size=n) < 0.1] = 0.0
+    return [BgParams(*map(float, t)) for t in zip(mu, sg, dl)]

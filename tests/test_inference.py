@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bgumbel
 from bgumbel import (
     CONSTANTS,
     BgParams,
@@ -507,6 +511,28 @@ class TestFitMle:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's minor page faults")
+    def test_repeated_fits_do_not_page_fault(self):
+        # At glibc's default trim threshold the heap top freed after each
+        # fit is given back, and the next fit faults its pages in again:
+        # about 1000 minor faults a fit here.  The block that
+        # bgumbel.inference frees at import raises the threshold.
+        src = str(Path(bgumbel.__file__).resolve().parents[1])
+        code = f"""
+import resource, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from bgumbel import compare_models
+x = np.random.default_rng(5).gumbel(0.0, 1.0, 2000)
+compare_models(x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    compare_models(x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 20 * 50
 
     def test_gumbel_fit_has_no_diagnostics(self, maxima29):
         assert fit_gumbel_mle(maxima29).diagnostics is None

@@ -100,17 +100,30 @@ class TestLjungBox:
         stat, p = ljung_box(rng.normal(size=200), lags=6)
         assert p == pytest.approx(chi2.sf(stat, 6), rel=1e-12)
 
-    def test_package_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a third of `import bgumbel`, and
-        # scipy.integrate is loaded by nothing else; the package needs
-        # neither.
+    def test_package_import_leaves_scipy_stats_unloaded(self, fixtures_dir, tmp_path):
+        # Importing SciPy's special, optimize and interpolate cost most of
+        # `import bgumbel`; the package, every fit and the moments at
+        # a = 1, 2 need none of it.  The sampler's PCHIP imports it lazily.
         src = str(Path(bgumbel.__file__).resolve().parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import bgumbel; "
-            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
-        )
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+import bgumbel
+from bgumbel import cli
+loaded = [scipy_loaded()]
+cli.main(["fit", {str(fixtures_dir / "maxima29.csv")!r}, "--model", "both", "-o", {str(tmp_path / "fit.json")!r}])
+loaded.append(scipy_loaded())
+p = bgumbel.BgParams(1.0, 1.0, 2.0)
+bgumbel.hazard(p, 0.3), bgumbel.find_modes(p), bgumbel.bg_moment_set(p), bgumbel.fisher_information(p)
+loaded.append(scipy_loaded())
+bgumbel.representation_sample(bgumbel.BgParams(-2.0, 1.0, 1.0), 10, 1)
+loaded.append("scipy.interpolate" in sys.modules)
+print(loaded)
+"""
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False False"
+        assert out.stdout.strip() == "[False, False, False, True]"
 
 
 class TestKsTest:

@@ -17,7 +17,7 @@ from bgumbel import (
     tail_rate,
 )
 from bgumbel.shape import _g_increase_gap
-from helpers import fd_log_pdf_derivative
+from helpers import fd_log_pdf_derivative, wide_box
 
 CANONICAL = BgParams(1.0, 1.0, 2.0)
 # High-precision critical points of the canonical bimodal parameter set.
@@ -52,14 +52,6 @@ def _mp_critical_points(mu, sigma, delta, lo, hi, n):
                     b = (a + b) / 2
             out.append((float(a), pos[i]))
         return out
-
-
-def _wide_box(rng, n):
-    """mu in [-20, 20], sigma = 10^U(-2, 1.5), |delta| = 10^U(-4, 3), one in ten 0."""
-    mu, sg = rng.uniform(-20, 20, n), 10.0 ** rng.uniform(-2, 1.5, n)
-    dl = 10.0 ** rng.uniform(-4, 3, n) * rng.choice([-1.0, 1.0], n)
-    dl[rng.uniform(size=n) < 0.1] = 0.0
-    return [BgParams(*map(float, t)) for t in zip(mu, sg, dl)]
 
 
 class TestCriticalFunction:
@@ -185,7 +177,7 @@ class TestFindModes:
                for _ in range(25)]
         # g is steep at the roots of the wide box (up to |delta|^2 = 1e6 per
         # unit), so there each root is checked as a sign change of g instead.
-        wide = _wide_box(np.random.default_rng(2), 1000)
+        wide = wide_box(np.random.default_rng(2), 1000)
         for k, p in enumerate(box + wide):
             rep = find_modes(p)
             assert rep.modality in ("unimodal", "bimodal")

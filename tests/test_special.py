@@ -15,8 +15,10 @@ from bgumbel import (
     trigamma,
     upper_incomplete_gamma,
 )
-from bgumbel.special import _roots
-from helpers import simpson_log_moment
+from bgumbel import critical_function_g
+from bgumbel.shape import _search_grid
+from bgumbel.special import _brentq, _chi2_sf, _kolmogorov_sf, _log_poly_gamma, _roots
+from helpers import random_params, simpson_log_moment, wide_box
 
 EG = CONSTANTS.euler_gamma
 
@@ -208,6 +210,16 @@ class TestGammaDerivatives:
                 ) / h**2
             assert gamma_deriv(i, x) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("j", range(7))
+    def test_derivatives_at_two_against_mpmath(self, j):
+        # Gamma^(j)(2), the a = 2 sums of fisher_information, with no SciPy.
+        import mpmath as mp
+
+        with mp.workdps(30):
+            want = mp.diff(mp.gamma, 2, j)
+        got = _log_poly_gamma((0.0,) * j + (1.0,), 2.0)
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             digamma(0.0)
@@ -224,3 +236,60 @@ class TestRoots:
         xs = np.linspace(-1.0, 1.0, 5)  # 0.0 is a node
         assert _roots(lambda x: x, xs) == [(0.0, False)]
         assert _roots(lambda x: -x, xs) == [(0.0, True)]
+
+    def test_brent_port_matches_scipy_brentq(self):
+        # The same floats as SciPy's brentq on the same brackets: find_modes'
+        # grids on bench-box triples and on wide-box ones.
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(31)
+        params = [random_params(rng) for _ in range(300)] + wide_box(np.random.default_rng(32), 300)
+        count = 0
+        for p in params:
+            xs = _search_grid(p)
+            pos = critical_function_g(p, xs) > 0
+            want = [
+                brentq(lambda t: float(critical_function_g(p, t)), xs[i], xs[i + 1],
+                       xtol=1e-12, rtol=8.9e-16)
+                for i in np.flatnonzero(pos[1:] != pos[:-1])
+            ]
+            assert [r for r, _ in _roots(lambda x: critical_function_g(p, x), xs)] == want
+            count += len(want)
+        assert count > len(params)
+
+    def test_brent_port_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda t: math.nan if t > 0.5 else t, -1.0, 1.0)
+        with pytest.raises(RuntimeError):  # bisection only, from a bracket of 2e300
+            _brentq(lambda t: 1.0 if t > 0.3 else -1.0, -1e300, 1e300)
+
+
+class TestGofTails:
+    def test_kolmogorov_against_scipy(self):
+        from scipy.special import kolmogorov
+
+        ys = np.concatenate([np.geomspace(1e-3, 27.0, 4000), [1.0, np.nextafter(1.0, 0.0), 0.82]])
+        got = np.array([_kolmogorov_sf(float(y)) for y in ys])
+        want = kolmogorov(ys)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_chi_square_against_scipy(self):
+        from scipy.special import chdtrc
+
+        xs = np.geomspace(1e-6, 1400.0, 600)
+        for k in range(1, 31):
+            got = np.array([_chi2_sf(float(x), k) for x in xs])
+            want = chdtrc(k, xs)
+            live = want > 1e-300
+            assert np.all(np.abs(got - want)[live] <= 1e-12 * want[live]), k
+            assert np.all(got[~live] < 1e-290), k
+
+    def test_chi_square_many_degrees_of_freedom(self):
+        # Terms that a sum started from exp(-x/2) would lose to underflow.
+        from scipy.special import chdtrc
+
+        for k, x in [(2000, 2000.0), (2001, 1900.0), (3000, 3300.0)]:
+            assert _chi2_sf(x, k) == pytest.approx(float(chdtrc(k, x)), rel=1e-11)
+        assert _chi2_sf(0.0, 3) == 1.0
