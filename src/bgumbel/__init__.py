@@ -30,7 +30,6 @@ from .errors import (
     BGumbelError,
     DegenerateDataError,
     DegenerateWeightError,
-    DivergentIntegralError,
     InsufficientDataError,
     RegimeError,
     RootIsolationError,
@@ -87,7 +86,6 @@ from .special import (
     incomplete_log_moment,
     log_moment_constant,
     trigamma,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"
@@ -115,10 +113,10 @@ __all__ = [
     "block_maxima", "ljung_box", "ks_test", "information_criteria",
     "descriptive_stats", "compare_models", "read_series_csv",
     # special functions
-    "upper_incomplete_gamma", "incomplete_log_moment", "log_moment_constant",
+    "incomplete_log_moment", "log_moment_constant",
     "digamma", "trigamma", "gamma_deriv",
     # errors
-    "BGumbelError", "DivergentIntegralError",
+    "BGumbelError",
     "DegenerateWeightError", "RegimeError", "RootIsolationError",
     "DegenerateDataError", "InsufficientDataError",
 ]

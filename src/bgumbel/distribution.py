@@ -309,11 +309,11 @@ def _linear_power(c0: float, c1: float, k: int) -> tuple[float, ...]:
 
 
 def _expect(p: BgParams, c: tuple[float, ...], a: float = 1.0) -> float:
-    """E[c(ln V) V^(a-1)] for X = mu - sigma ln V under the BG law.
+    """E[c(ln V) V^(a-1)] / Gamma(a) for X = mu - sigma ln V under the BG law.
 
     The density of V is _bg_weight(ln v) e^-v / Z, so this is
-    sum_j (c * weight)_j Gamma^(j)(a) / Z; see
-    :func:`~bgumbel.special._log_poly_gamma`.
+    sum_j (c * weight)_j Gamma^(j)(a) / (Gamma(a) Z); see
+    :func:`~bgumbel.special._log_poly_gamma`.  Gamma(a) = 1 at a = 1 and 2.
     """
     return _log_poly_gamma(_poly_mul(c, _bg_weight(p)), a) / normalizer(p)
 
@@ -353,8 +353,15 @@ def bg_moment_set(p: BgParams) -> MomentSet:
 # ----------------------------------------------------------------------
 
 def _exp_moment_raw(p: BgParams, m: int, t: float) -> float:
-    """E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(-sigma t)], for 1 - sigma t > 0."""
-    return math.exp(t * p.mu) * _expect(p, _linear_power(p.mu, -p.sigma, m), 1.0 - p.sigma * t)
+    """E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(a-1)], for a = 1 - sigma t > 0.
+
+    exp(t mu) Gamma(a) is taken as one exponential, so it is inf only where
+    the product, not a factor, is above the float range.
+    """
+    a = 1.0 - p.sigma * t
+    with np.errstate(over="ignore"):
+        scale = np.exp(t * p.mu + math.lgamma(a))
+    return float(scale * _expect(p, _linear_power(p.mu, -p.sigma, m), a))
 
 
 def bg_mgf(p: BgParams, t: float) -> float:

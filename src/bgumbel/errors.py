@@ -6,10 +6,6 @@ class BGumbelError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DivergentIntegralError(BGumbelError, ValueError):
-    """The requested integral diverges (e.g. the exponential integral at 0)."""
-
-
 class DegenerateWeightError(BGumbelError, ValueError):
     """A weighted distribution is undefined because its weight has zero mean."""
 

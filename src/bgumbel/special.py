@@ -16,12 +16,8 @@ root search of the package (the modes and the interval D); it refines each
 root with :func:`_brentq`, a port of Brent's method as SciPy's
 ``optimize/Zeros/brentq.c`` writes it (Brent 1973, ch. 4), which gives the
 same floats.  The goodness-of-fit p-values come from the pure-Python
-:func:`_kolmogorov_sf` and :func:`_chi2_sf`.
-
-So ``import bgumbel``, every fit and every moment at a = 1 or 2 need no
-SciPy.  Only :func:`upper_incomplete_gamma`, :func:`digamma`,
-:func:`trigamma`, :func:`gamma_deriv` and the gamma derivatives at any other
-a import ``scipy.special``, inside the function.
+:func:`_kolmogorov_sf` and :func:`_chi2_sf`, and psi^(m), m = 0..3, from the
+recurrence and asymptotic series of :func:`_polygammas`.  No SciPy is used.
 """
 from __future__ import annotations
 
@@ -30,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError
-
 __all__ = [
     "Constants",
     "CONSTANTS",
-    "upper_incomplete_gamma",
     "incomplete_log_moment",
     "log_weight_shares",
     "log_moment_constant",
@@ -97,27 +90,6 @@ _GAMMA_DERIVS_AT_2 = (
     -0.03203784824940177,
     8.030912917054314,
 )
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma function Gamma(a, x) = int_x^inf t^(a-1) e^-t dt.
-
-    Supports a = 0, where Gamma(0, x) equals the exponential integral E1(x),
-    and nonnegative a in general.  Gamma(0, 0) diverges.
-    """
-    from scipy import special as sc
-
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if a == 0.0:
-        if x == 0.0:
-            raise DivergentIntegralError("Gamma(0, 0) diverges")
-        return float(sc.exp1(x))
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    # Regularized complement times Gamma(a); exact for the integer orders
-    # this package needs and accurate for any a > 0.
-    return float(sc.gammaincc(a, x) * sc.gamma(a))
 
 
 _SPLIT = 2.0  # z from which log_weight_shares sums Gauss-Laguerre nodes
@@ -249,18 +221,14 @@ def digamma(x: float) -> float:
     """Digamma function psi(x) = Gamma'(x) / Gamma(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    from scipy import special as sc
-
-    return float(sc.digamma(x))
+    return _polygammas(x)[0]
 
 
 def trigamma(x: float) -> float:
     """Trigamma function psi'(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"trigamma requires x > 0, got {x}")
-    from scipy import special as sc
-
-    return float(sc.polygamma(1, x))
+    return _polygammas(x)[1]
 
 
 def gamma_deriv(i: int, x: float) -> float:
@@ -271,47 +239,65 @@ def gamma_deriv(i: int, x: float) -> float:
         Gamma''  = Gamma * (psi^2 + psi')
         Gamma''' = Gamma * (psi^3 + 3 psi psi' + psi'')
         Gamma'''' = Gamma * (psi^4 + 6 psi^2 psi' + 3 psi'^2 + 4 psi psi'' + psi''')
+    and is inf where Gamma(x) overflows.
     """
     if x <= 0:
         raise ValueError(f"gamma_deriv requires x > 0, got {x}")
     if not 0 <= i <= 4:
         raise ValueError(f"gamma derivatives implemented for order 0..4, got {i}")
-    return _gamma_derivs(i, x)[i]
+    try:
+        gam = math.gamma(x)
+    except OverflowError:  # x above 171.62
+        gam = math.inf
+    return gam * _log_poly_gamma((0.0,) * i + (1.0,), x)
 
 
-def _gamma_derivs(n: int, x: float) -> tuple[float, ...]:
-    """Gamma^(i)(x) for i = 0..min(n, 4), by the polygamma forms of gamma_deriv."""
-    from scipy import special as sc
+# B_2, ..., B_20; _PSI_SERIES[m] is 0, then B_2k (2k+m-1)!/(2k)! for k = 1..10.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+              -174611 / 330)
+_PSI_SERIES = tuple((0.0,) + tuple(b * math.factorial(2 * k + m - 1) / math.factorial(2 * k)
+                                   for k, b in enumerate(_BERNOULLI, 1)) for m in range(4))
 
-    gam = float(sc.gamma(x))
-    if n == 0:
-        return (gam,)
-    psi = float(sc.digamma(x))
-    p1 = float(sc.polygamma(1, x)) if n >= 2 else 0.0
-    p2 = float(sc.polygamma(2, x)) if n >= 3 else 0.0
-    p3 = float(sc.polygamma(3, x)) if n >= 4 else 0.0
-    return (
-        gam,
-        gam * psi,
-        gam * (psi**2 + p1),
-        gam * (psi**3 + 3.0 * psi * p1 + p2),
-        gam * (psi**4 + 6.0 * psi**2 * p1 + 3.0 * p1**2 + 4.0 * psi * p2 + p3),
-    )[: n + 1]
+
+def _polygammas(x: float) -> tuple[float, float, float, float]:
+    """psi^(m)(x) = d^(m+1)/dx^(m+1) ln Gamma(x) for m = 0..3 and x > 0.
+
+    psi^(m)(x) = psi^(m)(x + 1) - (-1)^m m! / x^(m+1) carries x to z >= 10,
+    where psi^(m)(z) ~ (-1)^(m-1) [(m-1)!/z^m + m!/(2 z^(m+1)) + sum_k B_2k
+    (2k+m-1)!/((2k)! z^(2k+m))], with -ln z for (m-1)!/z^m at m = 0, is
+    summed to B_20 (Abramowitz & Stegun 6.3.18, 6.4.11).  For m >= 1 all
+    terms share a sign, so the error is relative; psi, which has a root,
+    is accurate relative to max(|psi|, 1).
+    """
+    n = max(0, math.ceil(10.0 - x))
+    z = x + n
+    out = []
+    for m, c in enumerate(_PSI_SERIES):
+        fact = math.factorial(m)
+        head = -math.log(z) if m == 0 else math.factorial(m - 1) / z**m
+        series = _horner(c, 1.0 / (z * z)) / z**m + fact / (2.0 * z ** (m + 1)) + head
+        near = fact * sum((x + j) ** -(m + 1) for j in range(n))
+        out.append((-1.0) ** (m - 1) * (series + near))
+    return tuple(out)
 
 
 def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
-    """int_0^inf q(ln v) v^(a-1) e^-v dv = sum_j q_j Gamma^(j)(a), for a > 0.
+    """int_0^inf q(ln v) v^(a-1) e^-v dv / Gamma(a) = sum_j q_j Gamma^(j)(a) / Gamma(a), for a > 0.
 
-    ``q`` holds the coefficients of 1, ln v, ln^2 v, ...  At a = 1 and 2 the
-    derivatives, j = 0..6, come from the exact constants (-1)^j I(j; 0, inf);
-    at any other a from the polygamma forms, j = 0..4.  With
-    X = mu - sigma ln V, every moment, exponential moment and Fisher
-    expectation of the package is this sum for some q and a.
+    ``q`` holds the coefficients of 1, ln v, ln^2 v, ...  At a = 1 and 2,
+    where Gamma(a) = 1, the derivatives, j = 0..6, come from the exact
+    constants (-1)^j I(j; 0, inf); at any other a the ratios come from the
+    polygamma forms of :func:`gamma_deriv`, j = 0..4, so the sum stays
+    finite where Gamma(a) overflows.  With X = mu - sigma ln V, every
+    moment, exponential moment and Fisher expectation of the package is
+    Gamma(a) times this sum for some q and a.
     """
     if a == 1.0 or a == 2.0:
         derivs = _GAMMA_DERIVS_AT_1 if a == 1.0 else _GAMMA_DERIVS_AT_2
     else:
-        derivs = _gamma_derivs(len(q) - 1, a)
+        psi, p1, p2, p3 = _polygammas(a)
+        derivs = (1.0, psi, psi**2 + p1, psi**3 + 3.0 * psi * p1 + p2,
+                  psi**4 + 6.0 * psi**2 * p1 + 3.0 * p1**2 + 4.0 * psi * p2 + p3)
     if len(q) > len(derivs):
         raise ValueError(f"log-polynomial degree {len(q) - 1} exceeds {len(derivs) - 1} at a = {a}")
     return sum(c * g for c, g in zip(q, derivs))

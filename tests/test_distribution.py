@@ -335,6 +335,24 @@ class TestMgfAndExpMoments:
         # delta = 0 admits 0 <= t < 1/sigma
         assert bg_mgf(BgParams(0, 1, 0.0), 0.4) > 0
 
+    def test_no_overflow_of_the_factors(self):
+        # exp(t mu) and Gamma(1 - sigma t) overflow alone, not their product;
+        # the oracle is 40-digit mpmath, exp(t mu) sum_j q_j Gamma^(j)(a) / Z.
+        import mpmath as mp
+
+        def oracle(p, t):
+            mu, sg, dl = map(mp.mpf, (p.mu, p.sigma, p.delta))
+            c = 1 - dl * mu
+            q = (c * c + 1, 2 * c * dl * sg, (dl * sg) ** 2)
+            z = 1 + (dl * sg * mp.pi) ** 2 / 6 + (dl * mu + dl * sg * mp.euler - 1) ** 2
+            a = 1 - sg * t
+            return mp.exp(t * mu) * sum(qj * mp.diff(mp.gamma, a, j) for j, qj in enumerate(q)) / z
+
+        with mp.workdps(40):
+            for p, t in ((BgParams(3, 1, 0.5), -200.0), (BgParams(0, 1, 0.5), -170.0)):
+                assert bg_mgf(p, t) == pytest.approx(float(oracle(p, t)), rel=1e-12)
+        assert bg_mgf(BgParams(0, 1, 0), -200.0) == math.inf  # the true value overflows
+
     def test_exp_moment_m0_equals_mgf(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

@@ -101,9 +101,8 @@ class TestLjungBox:
         assert p == pytest.approx(chi2.sf(stat, 6), rel=1e-12)
 
     def test_package_import_leaves_scipy_stats_unloaded(self, fixtures_dir, tmp_path):
-        # Importing SciPy's special, optimize and interpolate cost most of
-        # `import bgumbel`; the package, every fit and the moments at
-        # a = 1, 2 need none of it.  The sampler's PCHIP imports it lazily.
+        # numpy is the only runtime dependency: the package, every fit, the
+        # moments, the sampler and the gamma functions load no SciPy.
         src = str(Path(bgumbel.__file__).resolve().parents[1])
         code = f"""
 import sys
@@ -119,11 +118,12 @@ p = bgumbel.BgParams(1.0, 1.0, 2.0)
 bgumbel.hazard(p, 0.3), bgumbel.find_modes(p), bgumbel.bg_moment_set(p), bgumbel.fisher_information(p)
 loaded.append(scipy_loaded())
 bgumbel.representation_sample(bgumbel.BgParams(-2.0, 1.0, 1.0), 10, 1)
-loaded.append("scipy.interpolate" in sys.modules)
+bgumbel.bg_mgf(p, -0.3), bgumbel.gamma_deriv(3, 1.5), bgumbel.digamma(2.5), bgumbel.trigamma(2.5)
+loaded.append(scipy_loaded())
 print(loaded)
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[False, False, False, True]"
+        assert out.stdout.strip() == "[False, False, False, False]"
 
 
 class TestKsTest:

@@ -10,14 +10,17 @@ from bgumbel import (
     Chain,
     McmcConfig,
     RegimeError,
+    bg_cdf,
     bg_moment_set,
+    bg_sf,
     chain_summary,
+    fit_mle,
     mh_sample,
     mixture_weights,
     representation_sample,
     save_draws_csv,
 )
-from bgumbel.sampling import _draws_csv_text
+from bgumbel.sampling import _draws_csv_text, _inverse_cdf
 from helpers import cdf_interpolator, ks_distance_to_cdf
 
 ROW1 = BgParams(-2, 1, -1)
@@ -144,6 +147,20 @@ class TestRepresentationSample:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             representation_sample(REGIME, 0, seed=1)
+
+    def test_inverse_accuracy(self, bimodal500):
+        # |F(x) - u| / min(u, 1 - u) over the 1e5 seed-1 uniforms, through
+        # S = 1 - F above 1/2; outside the regime through the table itself.
+        u = np.random.default_rng(1).uniform(size=100000)
+
+        def worst(p, x):
+            return np.max(np.where(u > 0.5, np.abs(bg_sf(p, x) - (1.0 - u)) / (1.0 - u),
+                                   np.abs(bg_cdf(p, x) - u) / u))
+
+        for p in (REGIME, BgParams(-1, 2, -2), BgParams(-1, 2, -1)):
+            assert worst(p, representation_sample(p, u.size, seed=1)) <= 1e-7, p
+        for p in (BgParams(1, 1, 2), fit_mle(bimodal500).params):
+            assert worst(p, _inverse_cdf(p, u)) <= 1e-7, p
 
 
 class TestChainSummary:

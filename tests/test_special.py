@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from bgumbel import (
     CONSTANTS,
-    DivergentIntegralError,
     digamma,
     gamma_deriv,
     incomplete_log_moment,
     log_moment_constant,
     trigamma,
-    upper_incomplete_gamma,
 )
 from bgumbel import critical_function_g
 from bgumbel.shape import _search_grid
-from bgumbel.special import _brentq, _chi2_sf, _kolmogorov_sf, _log_poly_gamma, _roots
+from bgumbel.special import _brentq, _chi2_sf, _kolmogorov_sf, _log_poly_gamma, _polygammas, _roots
 from helpers import random_params, simpson_log_moment, wide_box
 
 EG = CONSTANTS.euler_gamma
@@ -32,47 +30,6 @@ class TestConstants:
         assert abs(CONSTANTS.zeta3 - float(mp.zeta(3))) < 1e-16
         assert abs(CONSTANTS.zeta5 - float(mp.zeta(5))) < 1e-16
         assert CONSTANTS.pi == math.pi
-
-
-class TestUpperIncompleteGamma:
-    def test_at_one_zero(self):
-        assert upper_incomplete_gamma(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_exponential_integral_at_one(self):
-        # E1(1), cross-checked against 40-digit arbitrary-precision evaluation.
-        assert upper_incomplete_gamma(0.0, 1.0) == pytest.approx(
-            0.21938393439552027, rel=1e-14
-        )
-
-    def test_quadrature_oracle(self):
-        from scipy.integrate import quad
-
-        oracle, _ = quad(lambda t: math.exp(-t) / t, 1.0, np.inf, limit=300)
-        assert upper_incomplete_gamma(0.0, 1.0) == pytest.approx(oracle, rel=1e-10)
-
-    def test_large_argument_underflows_gracefully(self):
-        v = upper_incomplete_gamma(0.0, 50.0)
-        assert 0.0 <= v < 1e-20
-        assert math.isfinite(v)
-
-    def test_accuracy_across_range(self):
-        import mpmath as mp
-
-        mp.mp.dps = 30
-        for x in (1e-8, 1e-3, 0.5, 1.0, 10.0, 100.0, 700.0):
-            ref = float(mp.expint(1, x))
-            assert upper_incomplete_gamma(0.0, x) == pytest.approx(ref, rel=1e-12)
-
-    def test_strictly_decreasing(self):
-        xs = np.logspace(-6, 2, 60)
-        vals = [upper_incomplete_gamma(0.0, float(x)) for x in xs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(1.0, -0.5)
-        with pytest.raises(DivergentIntegralError):
-            upper_incomplete_gamma(0.0, 0.0)
 
 
 class TestIncompleteLogMoment:
@@ -219,6 +176,22 @@ class TestGammaDerivatives:
             want = mp.diff(mp.gamma, 2, j)
         got = _log_poly_gamma((0.0,) * j + (1.0,), 2.0)
         assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_polygamma_against_mpmath(self, m):
+        # Relative to max(|psi|, 1) for m = 0, whose root is included.
+        import mpmath as mp
+
+        xs = np.concatenate([np.logspace(-3.0, 3.0, 97), [1.4616321449683622, 9.999999, 10.0]])
+        with mp.workdps(30):
+            for x in xs.tolist():
+                want = mp.polygamma(m, x)
+                scale = max(abs(want), 1) if m == 0 else abs(want)
+                assert float(abs(_polygammas(x)[m] - want) / scale) < 1e-14, x
+        assert digamma(2.5) == _polygammas(2.5)[0] and trigamma(2.5) == _polygammas(2.5)[1]
+
+    def test_gamma_overflow_is_inf(self):
+        assert gamma_deriv(0, 200.0) == math.inf and gamma_deriv(4, 200.0) == math.inf
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
