@@ -160,25 +160,25 @@ def gumbel_moment(p: GumbelParams, k: int) -> float:
     """
     if not 0 <= k <= 6:
         raise ValueError(f"gumbel_moment supports k = 0..6, got {k}")
-    return _log_poly_gamma(_linear_power(p.mu, -p.sigma, k))
+    return _log_poly_gamma(_linear_powers(p.mu, -p.sigma, k)[-1])
 
 
 # ----------------------------------------------------------------------
 # Density and distribution function
 # ----------------------------------------------------------------------
 
-def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
-    """Log density; finite (no overflow) for |x - mu| / sigma up to 700.
+def _log_density(p: BgParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln f at the float array ``x``, and z = exp(-(x - mu)/sigma), inf where it overflows.
 
-    -inf where the density underflows, at x = +-inf included; nan only for
-    a nan ``x``.
+    ln f is -inf where the density underflows, at x = +-inf included, and
+    nan only for a nan ``x``.
     """
-    xv = np.asarray(x, dtype=float)
-    w = (xv - p.mu) / p.sigma
-    u = 1.0 - p.delta * xv
+    w = (x - p.mu) / p.sigma
+    u = 1.0 - p.delta * x
     log_z = math.log(p.sigma * normalizer(p))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.log1p(u * u) - w - np.exp(-w) - log_z
+        z = np.exp(-w)
+        out = np.log1p(u * u) - w - z - log_z
         # +inf or nan only where u^2 overflowed or x is +-inf; redone only
         # then, so the common case pays one comparison.  From |u| = 1e150 on,
         # ln(1 + u^2) is 2 ln|u| up to rounding.  A nan left over is
@@ -186,8 +186,18 @@ def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
         if not (out < np.inf).all():
             au = np.abs(u)
             log_weight = np.where(au < 1e150, np.log1p(u * u), 2.0 * np.log(np.maximum(au, 1e150)))
-            out = log_weight - w - np.exp(-w) - log_z
-            out = np.where(np.isnan(out) & ~np.isnan(xv), -np.inf, out)
+            out = log_weight - w - z - log_z
+            out = np.where(np.isnan(out) & ~np.isnan(x), -np.inf, out)
+    return out, z
+
+
+def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
+    """Log density; finite (no overflow) for |x - mu| / sigma up to 700.
+
+    -inf where the density underflows, at x = +-inf included; nan only for
+    a nan ``x``.
+    """
+    out = _log_density(p, np.asarray(x, dtype=float))[0]
     return out if out.ndim else float(out)
 
 
@@ -255,7 +265,7 @@ def weighted_gumbel_cdf(p: GumbelParams, k: int, x: float | np.ndarray) -> float
         raise DegenerateWeightError(
             f"E[Y^{k}] = {den!r} is numerically zero; the weighted law is undefined"
         )
-    q = _linear_power(p.mu, -p.sigma, k) + (0.0,) * (2 - k)
+    q = _linear_powers(p.mu, -p.sigma, k)[-1] + (0.0,) * (2 - k)
     return _shares(p, q, x)[0]
 
 
@@ -278,13 +288,20 @@ def mixture_weights(p: BgParams) -> tuple[float, float, float]:
 def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:
     """The nearest lo = mu - r and hi = mu + r' with F(lo) <= f_lo and F(hi) >= f_hi.
 
-    r and r' are taken from sigma * (1, 3, 7, 15, ...); 0 < f_lo and
-    f_hi < 1 are always met before the end of the ladder.
+    A ladder of reaches sigma * (1, 3, 7, 15, ...) finds the first rung that
+    meets each bound; 64 even steps up from the rung below refine it, so r
+    and r' exceed the least reach by at most 1/64 of the last ladder step.
+    0 < f_lo and f_hi < 1 are always met before the end of the ladder.
     """
-    reach = p.sigma * (2.0 ** np.arange(1.0, 41.0) - 1.0)
-    lo = p.mu - reach[np.argmax(bg_cdf(p, p.mu - reach) <= f_lo)]
-    hi = p.mu + reach[np.argmax(bg_cdf(p, p.mu + reach) >= f_hi)]
-    return float(lo), float(hi)
+    reach = p.sigma * (2.0 ** np.arange(41.0) - 1.0)
+    steps = np.arange(1.0, 65.0) / 64.0
+
+    def side(sign: float, met) -> float:
+        k = 1 + np.argmax(met(bg_cdf(p, p.mu + sign * reach[1:])))
+        r = reach[k - 1] + steps * (reach[k] - reach[k - 1])
+        return float(p.mu + sign * r[np.argmax(met(bg_cdf(p, p.mu + sign * r)))])
+
+    return side(-1.0, lambda f: f <= f_lo), side(1.0, lambda f: f >= f_hi)
 
 
 # ----------------------------------------------------------------------
@@ -300,22 +317,29 @@ def _poly_mul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _linear_power(c0: float, c1: float, k: int) -> tuple[float, ...]:
-    """(c0 + c1 ln v)^k; with (mu, -sigma) it is Y^k for Y = mu - sigma ln v."""
-    out = (1.0,)
+def _linear_powers(c0: float, c1: float, k: int) -> list[tuple[float, ...]]:
+    """(c0 + c1 ln v)^n for n = 0..k; with (mu, -sigma) they are Y^n for Y = mu - sigma ln v."""
+    out = [(1.0,)]
     for _ in range(k):
-        out = _poly_mul(out, (c0, c1))
+        out.append(_poly_mul(out[-1], (c0, c1)))
     return out
 
 
-def _expect(p: BgParams, c: tuple[float, ...], a: float = 1.0) -> float:
-    """E[c(ln V) V^(a-1)] / Gamma(a) for X = mu - sigma ln V under the BG law.
+def _expectation(p: BgParams):
+    """The map (c, a) -> E[c(ln V) V^(a-1)] / Gamma(a) for X = mu - sigma ln V under the BG law.
 
     The density of V is _bg_weight(ln v) e^-v / Z, so this is
     sum_j (c * weight)_j Gamma^(j)(a) / (Gamma(a) Z); see
     :func:`~bgumbel.special._log_poly_gamma`.  Gamma(a) = 1 at a = 1 and 2.
+    The weight and Z are formed once, for every expectation taken from the
+    map.
     """
-    return _log_poly_gamma(_poly_mul(c, _bg_weight(p)), a) / normalizer(p)
+    weight, z = _bg_weight(p), normalizer(p)
+
+    def expect(c: tuple[float, ...], a: float = 1.0) -> float:
+        return _log_poly_gamma(_poly_mul(c, weight), a) / z
+
+    return expect
 
 
 def bg_moment(p: BgParams, k: int) -> float:
@@ -324,24 +348,26 @@ def bg_moment(p: BgParams, k: int) -> float:
         raise ValueError(f"bg_moment supports k = 0..4, got {k}")
     if k == 0:
         return 1.0
-    return _expect(p, _linear_power(p.mu, -p.sigma, k))
+    return _expectation(p)(_linear_powers(p.mu, -p.sigma, k)[-1])
 
 
 def bg_moment_set(p: BgParams) -> MomentSet:
     """Mean, raw second/third moments, variance, skewness and kurtosis.
 
-    The raw moments come from :func:`bg_moment`.  The central moments are
+    The raw moments are those of :func:`bg_moment`.  The central moments are
     taken about the mean directly, never from raw moments:
     X - E[X] = d - sigma ln V with d = mu - E[X] = sigma E[ln V], so
     E[(X - E[X])^n] is the expectation of (d - sigma ln V)^n.  This holds
     for any |mu| / sigma.
     """
-    d = _expect(p, (0.0, p.sigma))
-    var, mu3, mu4 = (_expect(p, _linear_power(d, -p.sigma, n)) for n in (2, 3, 4))
+    expect = _expectation(p)
+    d = expect((0.0, p.sigma))
+    mean, second_raw, third_raw = (expect(c) for c in _linear_powers(p.mu, -p.sigma, 3)[1:])
+    var, mu3, mu4 = (expect(c) for c in _linear_powers(d, -p.sigma, 4)[2:])
     return MomentSet(
-        mean=bg_moment(p, 1),
-        second_raw=bg_moment(p, 2),
-        third_raw=bg_moment(p, 3),
+        mean=mean,
+        second_raw=second_raw,
+        third_raw=third_raw,
         variance=var,
         skewness=mu3 / var**1.5,
         kurtosis=mu4 / var**2,
@@ -361,7 +387,7 @@ def _exp_moment_raw(p: BgParams, m: int, t: float) -> float:
     a = 1.0 - p.sigma * t
     with np.errstate(over="ignore"):
         scale = np.exp(t * p.mu + math.lgamma(a))
-    return float(scale * _expect(p, _linear_power(p.mu, -p.sigma, m), a))
+    return float(scale * _expectation(p)(_linear_powers(p.mu, -p.sigma, m)[-1], a))
 
 
 def bg_mgf(p: BgParams, t: float) -> float:

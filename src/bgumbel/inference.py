@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import BgParams, _expect
+from .distribution import BgParams, _expectation
 from .errors import DegenerateDataError, InsufficientDataError
 from .special import CONSTANTS
 
@@ -291,9 +291,10 @@ def fisher_information(p: BgParams) -> np.ndarray:
     form; `_f4_integral` integrates it by a fixed rule.
     """
     mu, sg, dl = p.mu, p.sigma, p.delta
-    ef1 = _expect(p, (1.0,), 2.0)
-    ef2 = _expect(p, (1.0, 1.0), 2.0)
-    ef3 = -2.0 * sg * _expect(p, (0.0, 1.0)) + sg * _expect(p, (0.0, 2.0, 1.0), 2.0)
+    expect = _expectation(p)
+    ef1 = expect((1.0,), 2.0)
+    ef2 = expect((1.0, 1.0), 2.0)
+    ef3 = -2.0 * sg * expect((0.0, 1.0)) + sg * expect((0.0, 2.0, 1.0), 2.0)
 
     z, g, h = _log_z(mu, sg, dl)
     ef4 = _f4_integral(mu, sg, dl) / z

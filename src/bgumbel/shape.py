@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import BgParams, bg_pdf, bg_sf
+from .distribution import BgParams, _bg_weight, _log_density
 from .errors import RegimeError, RootIsolationError
-from .special import _roots
+from .special import _roots, log_weight_shares
 
 __all__ = [
     "ConditionCReport",
@@ -203,11 +203,17 @@ def tail_rate(p: BgParams) -> float:
 def hazard(p: BgParams, x: float | np.ndarray) -> HazardPoint:
     """Survival S(x) = 1 - F(x) and hazard rate f(x) / S(x), vectorized over ``x``.
 
-    The survival comes from :func:`~bgumbel.distribution.bg_sf`, accurate in
-    relative terms in the far right tail.  Only where it underflows to 0 is
-    the hazard reported at its tail limit 1/sigma.
+    One pass: z = exp(-(x - mu)/sigma), formed with the log density, also
+    gives the survival, computed as :func:`~bgumbel.distribution.bg_sf`
+    computes it (accurate in relative terms in the far right tail); the
+    density has the bits of :func:`~bgumbel.distribution.bg_pdf`.  Only
+    where the survival underflows to 0 is the hazard reported at its tail
+    limit 1/sigma.
     """
-    surv = bg_sf(p, x)
-    dens = bg_pdf(p, x)
+    log_dens, z = _log_density(p, np.asarray(x, dtype=float))
+    surv = log_weight_shares(_bg_weight(p), z)[1]
+    dens = np.exp(log_dens)
     rate = np.divide(dens, surv, out=np.full_like(surv, tail_rate(p)), where=surv != 0.0)
-    return HazardPoint(x=x, survival=surv, hazard=rate if rate.ndim else float(rate))
+    if not surv.ndim:
+        surv, rate = float(surv), float(rate)
+    return HazardPoint(x=x, survival=surv, hazard=rate)

@@ -21,6 +21,7 @@ recurrence and asymptotic series of :func:`_polygammas`.  No SciPy is used.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,7 @@ _GAMMA_DERIVS_AT_2 = (
 _SPLIT = 2.0  # z from which log_weight_shares sums Gauss-Laguerre nodes
 _BLOCK = 256  # points per block: keeps the (points x nodes) temporaries small
 _Z_MAX = 800.0  # exp(-z) is 0.0 from z = 746 on
+_PLANS = 32  # weights whose series table log_weight_shares keeps
 _LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 # Series factors (-1)^n / n! * (-1)^i / m^(i+1) with m = n + 1, for the i-th
 # derivative of the weight, i = 0..6; the 30th term is below 1e-23 of the
@@ -112,36 +114,57 @@ def _horner(c: tuple[float, ...], x: np.ndarray) -> np.ndarray | float:
     return out
 
 
-def _derivatives(q: tuple[float, ...]) -> list[tuple[float, ...]]:
-    """Coefficients of q, q', q'', ... down to the constant derivative."""
-    out = [q]
-    while len(q) > 1:
-        q = tuple([j * q[j] for j in range(1, len(q))])
-        out.append(q)
-    return out
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray]:
+    """The weight q / T, whose integral is 1, and its series table.
+
+    T = int_0^inf q(ln v) e^-v dv.  Row j of the (d + 1, 30) table holds
+    C[j, m] = sum_i q^(i)_j R_i[m] for the normalized weight, where q^(i)_j
+    is the coefficient of L^j in its i-th derivative and R_i the series
+    factors, so the n-th series term of :func:`_lower_series` is
+    z^m sum_j C[j, n] L^j.  Kept for the last ``_PLANS`` weights.
+    """
+    total = _log_poly_gamma(q)
+    q = tuple(c / total for c in q)
+    deriv = np.array(q)
+    table = np.zeros((len(q), _M.size))
+    for r in _SERIES_R[: len(q)]:
+        table[: deriv.size] += deriv[:, None] * r
+        deriv = deriv[1:] * np.arange(1.0, deriv.size)
+    table.flags.writeable = False
+    return q, table
 
 
 def _upper_laguerre(q: tuple[float, ...], z: np.ndarray) -> np.ndarray:
-    """int_z^inf q(ln v) e^-v dv = e^-z int_0^inf q(ln(z + t)) e^-t dt, for z >= 2."""
+    """int_z^inf q(ln v) e^-v dv = e^-z int_0^inf q(ln(z + t)) e^-t dt, for z >= 2.
+
+    e^-z is applied as two factors e^(-z/2), so a result below the normal
+    range is rounded once, not scaled from an e^-z that already lost its
+    digits.  For a constant q, Horner gives one scalar, so the sum runs
+    over the last axis.  z is taken as at most 800, where e^-z is 0.0.
+    """
+    z = np.minimum(z, _Z_MAX)
     ell = np.log(z[:, None] + _LAGUERRE_T)
-    return np.exp(-z) * (_horner(q, ell) * _LAGUERRE_W).sum(axis=1)
+    half = np.exp(-0.5 * z)
+    return half * (_horner(q, ell) * _LAGUERRE_W).sum(axis=-1) * half
 
 
-def _lower_series(derivs: list[tuple[float, ...]], z: np.ndarray) -> np.ndarray:
+def _lower_series(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     """int_0^z q(ln v) e^-v dv by the power series of e^-v, for 0 <= z < 2.
 
     With m = n + 1 and L = ln z, int_0^z v^n q(ln v) dv is
-    z^m sum_i (-1)^i q^(i)(L) / m^(i+1); the n-th term carries (-1)^n / n!.
-    ``derivs`` holds the coefficients of q, q', q'', ...
+    z^m sum_i (-1)^i q^(i)(L) / m^(i+1), and the n-th term carries
+    (-1)^n / n!.  Summed over i first, that is z^m times a polynomial in L
+    whose coefficients are column n of the weight's table (:func:`_plan`):
+    one Horner in L over the (points, 30) rows, then one row sum.
     """
     ln_z = np.log(np.where(z > 0.0, z, 1.0))[:, None]  # z = 0 gives 0 below
-    terms = _horner(derivs[0], ln_z) * _SERIES_R[0]
-    for d, r in zip(derivs[1:], _SERIES_R[1:]):
-        terms = terms + _horner(d, ln_z) * r
-    return (z[:, None] ** _M * terms).sum(axis=1)
+    return (z[:, None] ** _M * _horner(table, ln_z)).sum(axis=1)
 
 
 def _blocked(part, coef, z: np.ndarray) -> np.ndarray:
+    if z.size <= _BLOCK:
+        return part(coef, z)
     out = np.empty_like(z)
     for i in range(0, z.size, _BLOCK):
         out[i : i + _BLOCK] = part(coef, z[i : i + _BLOCK])
@@ -161,31 +184,42 @@ def log_weight_shares(
     with T = int_0^inf w(v) e^-v dv = sum_j qj Gamma^(j)(1), which must not
     be 0.  For z >= 2 the upper integral is e^-z times a 40-node
     Gauss-Laguerre sum of w(z + t); for z < 2 the lower integral is the
-    power series sum_n (-1)^n/n! int_0^z v^n w(v) dv.  Each regime gets the
-    other part as T minus its own.  For the positive weights of the
-    distribution functions that difference is never small (the lower part
-    holds most of T from z = 2 on, the upper part a few percent or more
-    below it), so it costs at most about one digit.  The part computed
-    directly keeps its relative accuracy down to the smallest normal
-    numbers: upper in the left tail of X = mu - sigma ln V, lower in the
-    right tail.  A signed weight (ln^k v for odd k, say) can make a part
-    itself pass through 0; near there only the absolute accuracy, about
-    1e-16 |T|, holds.
+    power series sum_n (-1)^n/n! int_0^z v^n w(v) dv, whose 30 terms are
+    z^(n+1) times one polynomial in ln z each.  The weight divided by T and
+    those polynomials, a (d + 1, 30) table, are built once per weight and
+    kept for the last 32 weights, so a call with few points costs little
+    more than its points.  Only the regimes that hold points are evaluated.
+    Each regime gets the other share as 1 minus its own.  For the positive
+    weights of the distribution functions that difference is never small
+    (the lower part holds most of T from z = 2 on, the upper part a few
+    percent or more below it), so it costs at most about one digit.  The
+    share computed directly keeps its relative accuracy down to the
+    smallest normal numbers: upper in the left tail of X = mu - sigma ln V,
+    lower in the right tail.  A signed weight (ln^k v for odd k, say) can
+    make a part itself pass through 0; near there only the absolute
+    accuracy, about 1e-16 in the share, holds.
 
     Returns two arrays of the shape of ``z`` (0-d for a scalar).
     """
-    q = tuple(map(float, q))
-    total = _log_poly_gamma(q)
-    zs = np.minimum(np.asarray(z, dtype=float), _Z_MAX)
+    q, table = _plan(tuple(map(float, q)))
+    zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     far = flat >= _SPLIT
-    near = ~far
-    upper, lower = np.empty_like(flat), np.empty_like(flat)
-    part = _blocked(_upper_laguerre, q, flat[far])
-    upper[far], lower[far] = part, total - part
-    part = _blocked(_lower_series, _derivatives(q), flat[near])
-    lower[near], upper[near] = part, total - part
-    return (upper / total).reshape(zs.shape), (lower / total).reshape(zs.shape)
+    n_far = np.count_nonzero(far)
+    if n_far == flat.size:
+        upper = _blocked(_upper_laguerre, q, flat)
+        lower = 1.0 - upper
+    elif n_far == 0:
+        lower = _blocked(_lower_series, table, flat)
+        upper = 1.0 - lower
+    else:
+        near = ~far
+        upper, lower = np.empty_like(flat), np.empty_like(flat)
+        part = _blocked(_upper_laguerre, q, flat[far])
+        upper[far], lower[far] = part, 1.0 - part
+        part = _blocked(_lower_series, table, flat[near])
+        lower[near], upper[near] = part, 1.0 - part
+    return upper.reshape(zs.shape), lower.reshape(zs.shape)
 
 
 def incomplete_log_moment(k: int, a: float, b: float = math.inf) -> float:
@@ -303,31 +337,36 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
     return sum(c * g for c, g in zip(q, derivs))
 
 
+_RTOL, _ITERATIONS = 8.9e-16, 100  # of _brentq
+_EPS4 = 4.0 * np.finfo(float).eps  # the xtol of _roots per unit of its bracket's reach
+
+
 def _roots(f, xs: np.ndarray) -> list[tuple[float, bool]]:
     """Every change of the vectorized ``f`` between > 0 and <= 0 on the grid ``xs``.
 
-    Each is refined by :func:`_brentq` (xtol 1e-12, rtol 8.9e-16) on ``f``
-    called with a float.  Returns ascending (root, f falls there) pairs.  A
-    node where f is exactly 0 sides with the nonpositive values, so a simple
-    root there is found once, with its right flag.
+    Each is refined by :func:`_brentq` on ``f`` called with a float, with
+    rtol 8.9e-16 and an xtol of 4 eps max(|a|, |b|) on the bracket [a, b],
+    so a root near 0 is found to a few ulps of itself, not to 1e-12.
+    Returns ascending (root, f falls there) pairs.  A node where f is
+    exactly 0 sides with the nonpositive values, so a simple root there is
+    found once, with its right flag.
     """
     pos = f(xs) > 0
-    return [
-        (_brentq(lambda t: float(f(t)), float(xs[i]), float(xs[i + 1])), bool(pos[i]))
-        for i in np.flatnonzero(pos[1:] != pos[:-1])
-    ]
+    out = []
+    for i in np.flatnonzero(pos[1:] != pos[:-1]):
+        a, b = float(xs[i]), float(xs[i + 1])
+        root = _brentq(lambda t: float(f(t)), a, b, _EPS4 * max(abs(a), abs(b)))
+        out.append((root, bool(pos[i])))
+    return out
 
 
-_XTOL, _RTOL, _ITERATIONS = 1e-12, 8.9e-16, 100  # of _brentq
-
-
-def _brentq(f, xa: float, xb: float) -> float:
+def _brentq(f, xa: float, xb: float, xtol: float = 1e-12) -> float:
     """A root of ``f`` in [xa, xb], where f changes sign, by Brent's method.
 
     A line-for-line port of SciPy's ``optimize/Zeros/brentq.c``, so it
-    returns the same float as ``scipy.optimize.brentq`` with xtol 1e-12,
-    rtol 8.9e-16 and at most 100 iterations.  Each step takes the inverse
-    quadratic (or secant) step when it is short enough and bisects
+    returns the same float as ``scipy.optimize.brentq`` with the same
+    ``xtol``, rtol 8.9e-16 and at most 100 iterations.  Each step takes the
+    inverse quadratic (or secant) step when it is short enough and bisects
     otherwise, and the search stops when half the bracket is under
     (xtol + rtol |x|) / 2.  A NaN value of f raises ValueError, as does a
     bracket without a sign change; running out of iterations raises
@@ -355,7 +394,7 @@ def _brentq(f, xa: float, xb: float) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

@@ -13,9 +13,19 @@ from bgumbel import (
     log_moment_constant,
     trigamma,
 )
-from bgumbel import critical_function_g
+from bgumbel import BgParams, critical_function_g, find_modes
 from bgumbel.shape import _search_grid
-from bgumbel.special import _brentq, _chi2_sf, _kolmogorov_sf, _log_poly_gamma, _polygammas, _roots
+from bgumbel.special import (
+    _PLANS,
+    _brentq,
+    _chi2_sf,
+    _kolmogorov_sf,
+    _log_poly_gamma,
+    _plan,
+    _polygammas,
+    _roots,
+    log_weight_shares,
+)
 from helpers import random_params, simpson_log_moment, wide_box
 
 EG = CONSTANTS.euler_gamma
@@ -105,6 +115,46 @@ class TestIncompleteLogMoment:
         lhs = incomplete_log_moment(k, a, b) + incomplete_log_moment(k, b, c)
         rhs = incomplete_log_moment(k, a, c)
         assert lhs == pytest.approx(rhs, abs=2e-12, rel=2e-10)
+
+
+class TestLogWeightShares:
+    ZS = (0.0, 5e-324, 1e-300, 1e-8, 0.5, 2.0 - 1e-12, 2.0, 2.0 + 1e-12, 50.0, 745.0, 800.0, math.inf)
+
+    @pytest.mark.parametrize("q", [(0.0,) * k + (1.0,) for k in range(7)] + [(5.0, -4.0, 4.0)])
+    def test_against_mpmath(self, q):
+        # Oracle: T and the part the kernel computes directly (upper from
+        # z = 2 on, lower below) by 40-digit quadrature; the other part is T
+        # minus it.  The direct share holds 2e-13 relative (40-node
+        # Gauss-Laguerre leaves 1.0e-13 for ln^4 v at z = 2) or one
+        # subnormal ulp where the share is below the normal range.  The
+        # other share is T minus the direct part, so it is off by the direct
+        # share's error plus the rounding of that difference.
+        import mpmath as mp
+
+        tiny = 2.0**-1074
+        with mp.workdps(40):
+            def w(v):
+                return sum(c * mp.log(v) ** j for j, c in enumerate(q))
+
+            total = mp.quad(lambda v: w(v) * mp.exp(-v), [0, 1, 10, 100, mp.inf])
+            for z in self.ZS:
+                zm = mp.mpf(min(z, 1e4))
+                if z >= 2.0:
+                    part = mp.exp(-zm) * mp.quad(lambda t: w(zm + t) * mp.exp(-t), [0, 1, 10, 100, mp.inf])
+                else:
+                    cuts = [0, 1 / zm, 1] if zm > 1 else [0, 1]
+                    part = zm * mp.quad(lambda u: w(zm * u) * mp.exp(-zm * u), cuts) if z else mp.mpf(0)
+                upper, lower = (float(v) for v in log_weight_shares(q, z))
+                direct, other = (upper, lower) if z >= 2.0 else (lower, upper)
+                err = abs(direct - part / total)
+                assert err <= 2e-13 * abs(part / total) + tiny, (z, direct)
+                assert abs(other - (1 - part / total)) <= err + 4e-16, (z, other)
+
+    def test_plan_cache_is_bounded(self):
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            log_weight_shares(tuple(rng.uniform(0.5, 2.0, 3)), np.array([0.5, 5.0]))
+        assert _plan.cache_info().currsize <= _PLANS
 
 
 class TestLogMomentConstants:
@@ -211,8 +261,9 @@ class TestRoots:
         assert _roots(lambda x: -x, xs) == [(0.0, True)]
 
     def test_brent_port_matches_scipy_brentq(self):
-        # The same floats as SciPy's brentq on the same brackets: find_modes'
-        # grids on bench-box triples and on wide-box ones.
+        # The same floats as SciPy's brentq on the same brackets and settings
+        # (the xtol _roots scales to each bracket): find_modes' grids on
+        # bench-box triples and on wide-box ones.
         from scipy.optimize import brentq
 
         rng = np.random.default_rng(31)
@@ -223,12 +274,30 @@ class TestRoots:
             pos = critical_function_g(p, xs) > 0
             want = [
                 brentq(lambda t: float(critical_function_g(p, t)), xs[i], xs[i + 1],
-                       xtol=1e-12, rtol=8.9e-16)
+                       xtol=4.0 * np.finfo(float).eps * max(abs(xs[i]), abs(xs[i + 1])), rtol=8.9e-16)
                 for i in np.flatnonzero(pos[1:] != pos[:-1])
             ]
             assert [r for r, _ in _roots(lambda x: critical_function_g(p, x), xs)] == want
             count += len(want)
         assert count > len(params)
+
+    def test_root_near_zero_is_relatively_accurate(self):
+        # delta puts the mode at -2.06e-4 exactly (solved at 40 digits).  g's
+        # two terms cancel there at about 0.37, so its floats carry about
+        # 1e-16 of absolute noise and fix the root to about 2.5e-16, 1.2e-12
+        # of itself; an absolute xtol of 1e-12 left 5.8e-10.
+        import mpmath as mp
+
+        mu, sg, dl = 1.177, 2.078, 0.3667493014964948
+        (got,) = find_modes(BgParams(mu, sg, dl)).modes
+        with mp.workdps(40):
+            def g(x):
+                u = 1 - mp.mpf(dl) * x
+                return (mp.exp(-(x - mu) / mp.mpf(sg)) - 1) / sg - 2 * mp.mpf(dl) * u / (u * u + 1)
+
+            want = mp.findroot(g, mp.mpf(-2.06e-4))
+            assert float(abs(got - want) / abs(want)) < 1e-12
+        assert got == pytest.approx(-2.06e-4, rel=1e-12)
 
     def test_brent_port_errors(self):
         with pytest.raises(ValueError, match="different signs"):

@@ -25,6 +25,7 @@ from bgumbel import (
     hazard,
     ks_test,
     representation_sample,
+    weighted_gumbel_cdf,
 )
 
 TRIPLES = [(1.0, 1.0, 2.0), (-2.0, 0.5, -1.0), (2.5, 2.0, -1.2), (1.5, 0.3, -0.7), (0.0, 1.0, 0.0)]
@@ -110,6 +111,18 @@ def test_array_and_scalar_agree_bit_for_bit():
             assert vec.shape == xs.shape
             assert np.array_equal(vec, [fn(p, float(x)) for x in xs])
         assert np.array_equal(bg_cdf(p, xs.reshape(-1, 3)), bg_cdf(p, xs).reshape(-1, 3))
+        # 0-d and 2-D inputs, a few points of both regimes (z = 2 falls at
+        # x = mu - sigma ln 2), hazard and the weighted Gumbel laws.
+        few = p.mu + p.sigma * np.array([-3.0, -math.log(2.0), 0.5, 30.0])
+        for fn in (bg_cdf, bg_sf):
+            assert np.array_equal(fn(p, few), [fn(p, np.asarray(x)) for x in few])
+            assert np.array_equal(fn(p, few.reshape(2, 2)), fn(p, few).reshape(2, 2))
+        hp = hazard(p, xs)
+        assert np.array_equal(hp.hazard, [hazard(p, float(x)).hazard for x in xs])
+        assert np.array_equal(hazard(p, xs.reshape(-1, 5)).hazard, hp.hazard.reshape(-1, 5))
+        for k in (0, 1, 2):
+            vec = weighted_gumbel_cdf(p.gumbel, k, xs)
+            assert np.array_equal(vec, [weighted_gumbel_cdf(p.gumbel, k, float(x)) for x in xs])
 
 
 def test_cdf_plus_survival_is_one_in_the_body():
