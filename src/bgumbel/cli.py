@@ -116,6 +116,17 @@ def _params_from_args(args) -> BgParams:
     return BgParams(args.mu, args.sigma, args.delta)
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, for ``--n``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -160,7 +171,7 @@ def _cmd_eval(args) -> int:
             rows = [dict(zip(header, row)) for row in table.tolist()]
             _emit(_stable_json({"table": rows, "manifest": manifest}) + "\n", args.output)
         else:
-            _emit(_csv_text(header, table, "%.12g"), args.output, manifest)
+            _emit(_csv_text(header, table, 12), args.output, manifest)
         return EXIT_OK
 
     if args.what == "moments":
@@ -251,7 +262,7 @@ def _cmd_simulate(args) -> int:
     header = ["mu", "sigma", "delta", "sample_mean", "pop_mean", "bias_mean",
               "sample_var", "pop_var", "bias_var"]
     if args.format == "csv":
-        text = _csv_text(header, rows, "%.12g")
+        text = _csv_text(header, rows, 12)
     else:
         widths = [max(len(h), 12) for h in header]
         lines = [
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sa = sub.add_parser("sample", help="draw random variates to CSV")
     _add_params(sa)
-    sa.add_argument("--n", type=int, required=True, help="number of draws")
+    sa.add_argument("--n", type=_positive_int, required=True, help="number of draws")
     sa.add_argument("--seed", type=int, default=None)
     sa.add_argument("--method", choices=["mh", "representation"], default="mh")
     sa.add_argument("--burn-in", dest="burn_in", type=int, default=None,
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sa.set_defaults(func=_cmd_sample)
 
     si = sub.add_parser("simulate", help="moment-recovery study over the built-in parameter sets")
-    si.add_argument("--n", type=int, default=100000, help="chain length after burn-in")
+    si.add_argument("--n", type=_positive_int, default=100000, help="chain length after burn-in")
     si.add_argument("--seed", type=int, default=None)
     si.add_argument("--format", choices=["md", "csv"], default="md")
     si.add_argument("--out-dir", default=None,

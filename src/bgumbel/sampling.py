@@ -16,6 +16,7 @@ of the public contract and identical seeds give bit-identical output.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,20 +217,145 @@ def chain_summary(c: Chain | np.ndarray) -> ChainSummary:
     return ChainSummary(mean=float(draws.mean()), variance=var, n=int(draws.size))
 
 
-def _csv_text(header: list[str], rows: np.ndarray, fmt: str) -> str:
-    """CSV text: the header line, then one line per row with every value in ``fmt``.
+# ----------------------------------------------------------------------
+# CSV text
+# ----------------------------------------------------------------------
 
-    ``rows`` holds one column per header name (a 1-D array is one column).
-    The whole flattened table is formatted by one ``%`` on a repeated line.
+_TEXT_BLOCK = 1 << 14  # values formatted at once, so the temporaries stay in cache
+_POW5 = np.array([5**j for j in range(28)], dtype=np.uint64)  # 5**27 < 2**64
+_LOW32 = np.uint64(0xFFFFFFFF)
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, j: np.ndarray):
+    """floor(m 5^j 2^(e+j)) for m < 2^53, whether it rounds up (half to even), and where it is in reach.
+
+    m 5^j is formed exactly in two 64-bit limbs from 32-bit halves.  In reach
+    are 0 <= j <= 27 (5^j < 2^64) and a right shift -(e + j) of 1 to 63 whose
+    result fits one limb.
     """
-    values = np.asarray(rows, dtype=float).ravel().tolist()
-    line = ",".join([fmt] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * (len(values) // len(header))) % tuple(values)
+    f = _POW5[np.clip(j, 0, 27)]
+    ml, mh, fl, fh = m & _LOW32, m >> np.uint64(32), f & _LOW32, f >> np.uint64(32)
+    low = ml * fl
+    mid = ml * fh + mh * fl + (low >> np.uint64(32))
+    lo = (mid << np.uint64(32)) | (low & _LOW32)
+    hi = mh * fh + (mid >> np.uint64(32))
+    s = e + j
+    r = np.clip(-s, 1, 63).astype(np.uint64)
+    q = (hi << (np.uint64(64) - r)) | (lo >> r)
+    rem, half = lo & ((np.uint64(1) << r) - np.uint64(1)), np.uint64(1) << (r - np.uint64(1))
+    up = (rem > half) | ((rem == half) & ((q & np.uint64(1)) == 1))
+    return q, up, (j >= 0) & (j <= 27) & (s <= -1) & (s >= -63) & ((hi >> r) == 0)
+
+
+def _decimal_digits(x: np.ndarray, digits: int):
+    """(ok, d, k): where ``ok``, |x| rounded half-even to ``digits`` significant digits is d 10^(k-digits+1).
+
+    10^(digits-1) <= d < 10^digits.  Not ok are 0, subnormals, inf, nan and
+    values out of reach of :func:`_scaled`: ok is 1e-11 <= |x| < 2^51 at 17
+    digits, 2.3e-10 <= |x| < 1e12 at 12.  The exponent k from log10 is one
+    too high just below a power of ten; that is detected by the truncated d
+    falling below 10^(digits-1), not by the rounded one (1e-7 has the 17
+    digits 99999999999999995, where the rounded d would print 1e-07).
+    """
+    a = np.abs(x)
+    ok = (a >= np.finfo(float).tiny) & (a < np.inf)
+    a = np.where(ok, a, 1.0)
+    frac, exp2 = np.frexp(a)
+    m, e = (frac * 2.0**53).astype(np.uint64), exp2 - 53
+    k = np.floor(np.log10(a)).astype(np.int64)
+    q, up, reach = _scaled(m, e, digits - 1 - k)
+    lo10, hi10 = np.uint64(10 ** (digits - 1)), np.uint64(10**digits)
+    low = np.flatnonzero(reach & (q < lo10))  # log10 rounded up to k just below 10^k
+    if low.size:
+        k[low] -= 1
+        q[low], up[low], reach[low] = _scaled(m[low], e[low], digits - 1 - k[low])
+    reach &= (q >= lo10) & (q < hi10)  # any other miss of k goes to %
+    d = q + up
+    carry = d == hi10  # 9.99... rounded up to 10.0...
+    d[carry] = lo10
+    return ok & reach, d, k + carry
+
+
+def _ascii_digits(d: np.ndarray, digits: int) -> np.ndarray:
+    """The ``digits`` ASCII digits of each d < 10^digits <= 10^17, as rows of a uint8 array."""
+    out = np.empty((d.size, 18), dtype=np.uint8)
+    pairs = out.view(np.uint16)
+    top = (d // np.uint64(10**8)).astype(np.uint32)
+    for last, part in ((8, (d % np.uint64(10**8)).astype(np.uint32)), (4, top % np.uint32(10**8))):
+        for col in range(last, last - 4, -1):
+            pairs[:, col] = _DIGIT_PAIRS[part % np.uint32(100)]
+            part //= np.uint32(100)
+    out[:, 1] = (top // np.uint32(10**8)).astype(np.uint8) + np.uint8(ord("0"))
+    return out[:, 18 - digits:]
+
+
+@functools.cache
+def _g_rows(digits: int) -> np.ndarray:
+    """The canvas row of ``'%.{digits}g'`` text for each decimal exponent k and count n of digits kept.
+
+    Row (k - digits + 28) (digits + 1) + n, for digits - 28 <= k <= digits and
+    1 <= n <= digits.  Columns: the sign; "0.000" for fixed notation below 1;
+    digit i, then a point, for each i; "e+XX"; the separator.  A row holds its
+    fixed characters, 0xFF where a digit shows and NUL elsewhere.
+    """
+    rows = np.zeros((29, digits + 1, 2 * digits + 10), dtype=np.uint8)
+    for k in range(digits - 28, digits + 1):
+        fixed = -4 <= k < digits  # Python's rule for %g
+        for n in range(1, digits + 1):
+            row = rows[k - digits + 28, n]
+            if fixed and k < 0:
+                row[1:2 - k] = list(b"0.000"[:1 - k])
+            row[6:6 + 2 * (max(n, k + 1) if fixed else n):2] = 0xFF
+            point = k if fixed else 0
+            if 0 <= point < n - 1:
+                row[7 + 2 * point] = ord(".")
+            if not fixed:
+                row[-5:-1] = list(b"e%+03d" % k)
+    return rows.reshape(-1, 2 * digits + 10)
+
+
+def _g_text(x: np.ndarray, digits: int, width: int) -> str:
+    """Rows of ``width`` values, each written as Python's ``'%.{digits}g' % v`` writes it, ',' between.
+
+    Each value gets one row of a uint8 canvas from :func:`_g_rows`, ANDed
+    with its exact digits; NULs are then deleted.  Values the integer path
+    does not cover (see :func:`_decimal_digits`) are written by ``%`` one at
+    a time, in place.
+    """
+    ok, d, k = _decimal_digits(x, digits)
+    ascii_digits = _ascii_digits(d, digits)
+    kept = digits - np.argmax(ascii_digits[:, ::-1] != ord("0"), axis=1)  # trailing zeros go
+    canvas = _g_rows(digits)[(np.clip(k, digits - 28, digits) - digits + 28) * (digits + 1) + kept]
+    canvas[:, 6:2 * digits + 5:2] &= ascii_digits
+    canvas[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    ends = canvas.reshape(-1, width, canvas.shape[1])[:, :, -1]
+    ends[:, :-1], ends[:, -1] = ord(","), ord("\n")
+    rest = np.flatnonzero(~ok)
+    for i, v in zip(rest.tolist(), x[rest].tolist()):
+        text = b"%.*g" % (digits, v)
+        canvas[i, :-1] = 0
+        canvas[i, :len(text)] = list(text)
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_text(header: list[str], rows: np.ndarray, digits: int) -> str:
+    """CSV text: the header line, then one line per row, every value exactly as ``'%.{digits}g' % v``.
+
+    ``rows`` holds one column per header name (a 1-D array is one column);
+    1 <= digits <= 17.  The table is written by :func:`_g_text` in blocks of
+    whole rows.
+    """
+    values = np.asarray(rows, dtype=float).ravel()
+    step = max(_TEXT_BLOCK // len(header), 1) * len(header)
+    return ",".join(header) + "\n" + "".join(
+        _g_text(values[start:start + step], digits, len(header)) for start in range(0, values.size, step)
+    )
 
 
 def _draws_csv_text(draws: np.ndarray) -> str:
-    """Single-column CSV text with header ``draw``, one ``.17g`` line per draw."""
-    return _csv_text(["draw"], draws, "%.17g")
+    """Single-column CSV text with header ``draw``, one ``'%.17g'`` line per draw (round-trips exactly)."""
+    return _csv_text(["draw"], draws, 17)
 
 
 def save_draws_csv(draws: np.ndarray, path: str | Path) -> None:

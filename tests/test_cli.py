@@ -177,6 +177,32 @@ class TestSample:
         save_draws_csv(representation_sample(BgParams(-2, 1, 1), 300, 9), ref)
         assert out.read_bytes() == ref.read_bytes()
 
+    @pytest.mark.parametrize("method", ["mh", "representation"])
+    def test_output_is_per_value_17g_text(self, tmp_path, method):
+        from bgumbel import McmcConfig, mh_sample, representation_sample
+
+        p, out = BgParams(-2, 1, 1), tmp_path / "draws.csv"
+        assert run(["sample", "--mu", "-2", "--sigma", "1", "--delta", "1", "--n", "20000",
+                    "--seed", "31", "--method", method, "-o", str(out)]) == EXIT_OK
+        if method == "mh":  # the CLI burns in 10% of n
+            draws = mh_sample(p, McmcConfig(n_iterations=22000, burn_in=2000, seed=31)).draws
+        else:
+            draws = representation_sample(p, 20000, 31)
+        assert out.read_text() == "draw\n" + "".join("%.17g\n" % v for v in draws.tolist())
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--mu", "0", "--sigma", "1", "--delta", "0", "--n", "0"],
+        ["sample", "--mu", "0", "--sigma", "1", "--delta", "0", "--n", "-3"],
+        ["sample", "--mu", "-2", "--sigma", "1", "--delta", "1", "--n", "0",
+         "--method", "representation"],
+        ["simulate", "--n", "0"],
+    ])
+    def test_n_below_one_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --n: must be at least 1" in capsys.readouterr().err
+
     def test_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BGUMBEL_SEED", "77")
         out = tmp_path / "env.csv"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from bgumbel import (
@@ -20,7 +22,7 @@ from bgumbel import (
     representation_sample,
     save_draws_csv,
 )
-from bgumbel.sampling import _draws_csv_text, _inverse_cdf
+from bgumbel.sampling import _csv_text, _draws_csv_text, _inverse_cdf
 from helpers import cdf_interpolator, ks_distance_to_cdf
 
 ROW1 = BgParams(-2, 1, -1)
@@ -203,7 +205,32 @@ class TestCsvExport:
         np.testing.assert_array_equal(back, draws)
 
     def test_text_matches_per_value_format(self):
-        values = np.array([0.1, -0.0, 5e-324, 1e300, 1.2345e17, -2.5, 1.0 / 3.0])
+        rng = np.random.default_rng(18)
+        tens = 10.0 ** np.arange(-30, 30)
+        values = np.concatenate([
+            [0.1, -0.0, 0.0, 5e-324, 1e300, 1.2345e17, -2.5, 1.0 / 3.0, 1e-7,
+             2.2250738585072014e-308, 1.7976931348623157e308, np.inf, -np.inf, np.nan],
+            rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),  # every exponent
+            tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),  # k one off from log10
+            np.arange(2000) + 0.5, (np.arange(2000) + 0.5) / 1024.0,  # exact ties
+            rng.gumbel(size=5000), rng.standard_cauchy(5000),
+        ])
         expected = "draw\n" + "".join(f"{v:.17g}\n" for v in values.tolist())
         assert _draws_csv_text(values) == expected
         assert _draws_csv_text(np.array([])) == "draw\n"
+
+    def test_table_text_matches_per_value_format(self):
+        rng = np.random.default_rng(12)
+        carries = 10.0 ** np.arange(-10, 12) * (1.0 - 1e-13)  # 12 nines round up to a power of ten
+        table = np.column_stack([np.linspace(-5.0, 800.0, 7022), rng.exponential(size=7022),
+                                 np.concatenate([np.exp(-rng.uniform(0.0, 700.0, 7000)), carries])])
+        expected = "x,survival,hazard\n" + "".join(
+            "%.12g,%.12g,%.12g\n" % tuple(row) for row in table.tolist())
+        assert _csv_text(["x", "survival", "hazard"], table, 12) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_text_property_matches_per_value_format(self, values):
+        for digits in (12, 17):
+            expected = "v\n" + "".join("%.*g\n" % (digits, v) for v in values)
+            assert _csv_text(["v"], np.array(values, dtype=float), digits) == expected
