@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .special import CONSTANTS, _log_poly_gamma, log_weight_shares
+from .special import _LN_MAX, CONSTANTS, _exp, _log_poly_gamma, log_weight_shares
 
 __all__ = [
     "BgParams",
@@ -167,15 +167,29 @@ def gumbel_moment(p: GumbelParams, k: int) -> float:
 # Density and distribution function
 # ----------------------------------------------------------------------
 
-def _log_density(p: BgParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln f at the float array ``x``, and z = exp(-(x - mu)/sigma), inf where it overflows.
+def _float_or_array(x) -> float | np.ndarray:
+    """``x`` as a Python float if it is a scalar or a 0-d array, else as a float array."""
+    if type(x) is float:
+        return x
+    xs = np.asarray(x, dtype=float)
+    return xs if xs.ndim else float(xs)
+
+
+def _log_density(p: BgParams, x: float | np.ndarray) -> tuple:
+    """ln f and z = exp(-(x - mu)/sigma), inf where it overflows, at a float or float array ``x``.
 
     ln f is -inf where the density underflows, at x = +-inf included, and
-    nan only for a nan ``x``.
+    nan only for a nan ``x``.  A float ``x`` gives floats, with the bits of
+    the array path, in Python arithmetic and numpy's exp and log1p on floats.
     """
     w = (x - p.mu) / p.sigma
     u = 1.0 - p.delta * x
     log_z = math.log(p.sigma * normalizer(p))
+    if type(x) is float:
+        z = _exp(-w)
+        out = float(np.log1p(u * u)) - w - z - log_z
+        if out < math.inf:
+            return out, z
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(-w)
         out = np.log1p(u * u) - w - z - log_z
@@ -188,7 +202,7 @@ def _log_density(p: BgParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             log_weight = np.where(au < 1e150, np.log1p(u * u), 2.0 * np.log(np.maximum(au, 1e150)))
             out = log_weight - w - z - log_z
             out = np.where(np.isnan(out) & ~np.isnan(x), -np.inf, out)
-    return out, z
+    return (out, z) if out.ndim else (float(out), float(z))
 
 
 def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -197,8 +211,7 @@ def bg_log_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     -inf where the density underflows, at x = +-inf included; nan only for
     a nan ``x``.
     """
-    out = _log_density(p, np.asarray(x, dtype=float))[0]
-    return out if out.ndim else float(out)
+    return _log_density(p, _float_or_array(x))[0]
 
 
 def bg_pdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
@@ -216,13 +229,12 @@ def _shares(
     variable Y, so the upper share is a distribution function and the lower
     one its survival function.
     """
-    w = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        z = np.exp(-w)
-    upper, lower = log_weight_shares(q, z)
-    if upper.ndim:
-        return upper, lower
-    return float(upper), float(lower)
+    x = _float_or_array(x)
+    neg_w = (p.mu - x) / p.sigma
+    if type(x) is float:
+        return log_weight_shares(q, _exp(neg_w))
+    # Capped below overflow, without a warning: the kernel takes every z >= 800 as inf.
+    return log_weight_shares(q, np.exp(np.minimum(neg_w, _LN_MAX)))
 
 
 def _bg_weight(p: BgParams) -> tuple[float, float, float]:

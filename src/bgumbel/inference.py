@@ -35,7 +35,7 @@ import numpy as np
 
 from .distribution import BgParams, _expectation
 from .errors import DegenerateDataError, InsufficientDataError
-from .special import CONSTANTS
+from .special import CONSTANTS, _sorted_unique
 
 __all__ = [
     "FitResult",
@@ -321,7 +321,8 @@ def _f4_integral(mu: float, sg: float, dl: float) -> float:
     q = abs(dl * sg)  # 1/h; poles further out leave every panel smooth
     if q > 1e-6:
         cuts = (mu - 1.0 / dl) / sg + np.concatenate([-_POLE_CUTS, _POLE_CUTS]) / q
-        breaks = np.union1d(breaks, cuts[(cuts > breaks[0]) & (cuts < breaks[-1])])
+        inner = cuts[(cuts > breaks[0]) & (cuts < breaks[-1])]
+        breaks = _sorted_unique(np.concatenate([breaks, inner]))
     half = 0.5 * np.diff(breaks)[:, None]
     s = breaks[:-1, None] + half * (1.0 + _GL_NODES)
     x = mu - sg * s

@@ -126,25 +126,26 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
 
     mu, sg, dl = p.mu, p.sigma, p.delta
     log_norm = math.log(sg * normalizer(p))
+    exp, log, inf = math.exp, math.log, math.inf
 
-    def logpdf(v: float) -> float:
-        w = (v - mu) / sg
-        ew = math.exp(-w) if w > -700.0 else math.inf
-        u = 1.0 - dl * v
-        return math.log(u * u + 1.0) - w - ew - log_norm
-
-    lp = logpdf(x)
+    # ln f(v) = ln((1 - dl v)^2 + 1) - w - e^-w - ln(sg Z) with w = (v - mu)/sg,
+    # written out in the loop, e^-w taken as inf below w = -700; at v = mu, w = 0.
+    u = 1.0 - dl * x
+    lp = log(u * u + 1.0) - 1.0 - log_norm
     out = np.empty(n)
     accepted = 0
     for start in range(0, n, _BLOCK):
         block, stop = [], start + _BLOCK
+        append = block.append
         for step, lu in zip(steps[start:stop].tolist(), log_u[start:stop].tolist()):
             y = x + step
-            lpy = logpdf(y)
+            w = (y - mu) / sg
+            u = 1.0 - dl * y
+            lpy = log(u * u + 1.0) - w - (exp(-w) if w > -700.0 else inf) - log_norm
             if lpy - lp > lu:
                 x, lp = y, lpy
                 accepted += 1
-            block.append(x)
+            append(x)
         out[start:stop] = block
     return Chain(draws=out[burn:], acceptance_rate=accepted / n, seed=cfg.seed)
 

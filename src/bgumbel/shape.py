@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import BgParams, _bg_weight, _log_density
+from .distribution import BgParams, _bg_weight, _float_or_array, _log_density
 from .errors import RegimeError, RootIsolationError
-from .special import _roots, log_weight_shares
+from .special import _exp, _roots, _sorted_unique, log_weight_shares
 
 __all__ = [
     "ConditionCReport",
@@ -77,13 +77,18 @@ class HazardPoint:
 
 
 def critical_function_g(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
-    """The critical-point function g whose roots are modes/antimodes (f' = f g)."""
-    xv = np.asarray(x, dtype=float)
+    """The critical-point function g whose roots are modes/antimodes (f' = f g).
+
+    A scalar ``x``, such as each of Brent's steps, is evaluated on Python
+    floats, with the bits of the array path.
+    """
+    xv = _float_or_array(x)
     w = (xv - p.mu) / p.sigma
     u = 1.0 - p.delta * xv
+    if type(xv) is float:
+        return (_exp(-w) - 1.0) / p.sigma - 2.0 * p.delta * u / (u * u + 1.0)
     with np.errstate(over="ignore"):
-        out = (np.exp(-w) - 1.0) / p.sigma - 2.0 * p.delta * u / (u * u + 1.0)
-    return out if out.ndim else float(out)
+        return (np.exp(-w) - 1.0) / p.sigma - 2.0 * p.delta * u / (u * u + 1.0)
 
 
 def check_condition_c(p: BgParams) -> ConditionCReport:
@@ -156,7 +161,7 @@ def _search_grid(p: BgParams) -> np.ndarray:
     for c, r in [(mu, 8.0 * sg)] + ([(1.0 / dl, 3.0 / abs(dl))] if dl else []):
         if max(lo, c - r) < min(hi, c + r):
             pieces.append(np.linspace(max(lo, c - r), min(hi, c + r), 2048))
-    return np.unique(np.concatenate(pieces))
+    return _sorted_unique(np.concatenate(pieces))
 
 
 def find_modes(p: BgParams) -> ShapeReport:
@@ -208,12 +213,15 @@ def hazard(p: BgParams, x: float | np.ndarray) -> HazardPoint:
     computes it (accurate in relative terms in the far right tail); the
     density has the bits of :func:`~bgumbel.distribution.bg_pdf`.  Only
     where the survival underflows to 0 is the hazard reported at its tail
-    limit 1/sigma.
+    limit 1/sigma.  A scalar ``x`` runs on Python floats and gives float
+    fields, with the bits of the array path.
     """
-    log_dens, z = _log_density(p, np.asarray(x, dtype=float))
+    xv = _float_or_array(x)
+    log_dens, z = _log_density(p, xv)
     surv = log_weight_shares(_bg_weight(p), z)[1]
-    dens = np.exp(log_dens)
-    rate = np.divide(dens, surv, out=np.full_like(surv, tail_rate(p)), where=surv != 0.0)
-    if not surv.ndim:
-        surv, rate = float(surv), float(rate)
+    if type(xv) is float:
+        rate = float(np.exp(log_dens)) / surv if surv != 0.0 else tail_rate(p)
+    else:
+        dens = np.exp(log_dens)
+        rate = np.divide(dens, surv, out=np.full_like(surv, tail_rate(p)), where=surv != 0.0)
     return HazardPoint(x=x, survival=surv, hazard=rate)

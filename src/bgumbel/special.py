@@ -95,15 +95,18 @@ _GAMMA_DERIVS_AT_2 = (
 
 _SPLIT = 2.0  # z from which log_weight_shares sums Gauss-Laguerre nodes
 _BLOCK = 256  # points per block: keeps the (points x nodes) temporaries small
+_FEW = 4  # series points up to which an array call runs the float path, point by point
 _Z_MAX = 800.0  # exp(-z) is 0.0 from z = 746 on
+_LN_MAX = 709.782712893384  # the largest float whose exponential is finite
 _PLANS = 32  # weights whose series table log_weight_shares keeps
 _LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(40)
 # Series factors (-1)^n / n! * (-1)^i / m^(i+1) with m = n + 1, for the i-th
-# derivative of the weight, i = 0..6; the 30th term is below 1e-23 of the
-# sum for z < 2.
-_M = np.arange(1.0, 31.0)
-_SIGNED_INV_FACT = np.array([(-1.0) ** n / math.factorial(n) for n in range(30)])
+# derivative of the weight, i = 0..6; 32 terms, a power of two for Estrin's
+# scheme.  The last is below 1e-25 of the sum for z < 2.
+_M = np.arange(1.0, 33.0)
+_SIGNED_INV_FACT = np.array([(-1.0) ** n / math.factorial(n) for n in range(_M.size)])
 _SERIES_R = tuple((-1.0) ** i * _SIGNED_INV_FACT / _M ** (i + 1) for i in range(7))
+_BIT_REVERSED = [int(f"{k:05b}"[::-1], 2) for k in range(32)]
 
 
 def _horner(c: tuple[float, ...], x: np.ndarray) -> np.ndarray | float:
@@ -114,15 +117,61 @@ def _horner(c: tuple[float, ...], x: np.ndarray) -> np.ndarray | float:
     return out
 
 
+def _estrin(c, x):
+    """sum_n c[n] x^n for each run of 32 coefficients in ``c``, by Estrin's scheme.
+
+    Pairs c[2i] + c[2i+1] x, then pairs of those in x^2, x^4, x^8 and
+    x^16, so the runs never mix.  A sequence of floats, run after run,
+    with a float ``x`` gives a list of floats, one per run, three levels
+    and then two at a time.  An array ``c`` (:func:`_plan`'s column),
+    against an array ``x``, gives an array of one row per run, a level at
+    a time: its first axis holds the coefficients in an order in which
+    each level pairs its first half with its second, so every operand is
+    one contiguous block.  Same operations, same bits.
+    """
+    if isinstance(c, np.ndarray):
+        runs = len(c) // 32
+        for half in (16 * runs, 8 * runs, 4 * runs, 2 * runs):
+            c = c[:half] + c[half:] * x
+            x = x * x
+        return c[:runs] + c[runs:] * x
+    x2 = x * x
+    x4 = x2 * x2
+    x8 = x4 * x4
+    x16 = x8 * x8
+    eights = iter(c)
+    c = [(a + b * x + (d + e * x) * x2) + (f + g * x + (h + k * x) * x2) * x4
+         for a, b, d, e, f, g, h, k in zip(*[eights] * 8)]
+    fours = iter(c)
+    return [(a + b * x8) + (d + e * x8) * x16 for a, b, d, e in zip(*[fours] * 4)]
+
+
+def _sorted_unique(xs: np.ndarray) -> np.ndarray:
+    """The values of the float array ``xs`` (no nan) once each, ascending: ``np.unique``.
+
+    A stable sort merges presorted runs, and ``np.unique`` would import
+    ``numpy.ma`` on its first call, about 15 ms.
+    """
+    xs = np.sort(xs, kind="stable")
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+
+
+def _exp(t: float) -> float:
+    """np.exp(t) as a float, with its bits, and inf where it overflows, without a warning."""
+    return float(np.exp(t)) if not t > _LN_MAX else math.inf
+
+
 @functools.lru_cache(maxsize=_PLANS)
 def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray]:
     """The weight q / T, whose integral is 1, and its series table.
 
-    T = int_0^inf q(ln v) e^-v dv.  Row j of the (d + 1, 30) table holds
-    C[j, m] = sum_i q^(i)_j R_i[m] for the normalized weight, where q^(i)_j
+    T = int_0^inf q(ln v) e^-v dv.  Row j of the (d + 1, 32) table holds
+    C[j, n] = sum_i q^(i)_j R_i[n] for the normalized weight, where q^(i)_j
     is the coefficient of L^j in its i-th derivative and R_i the series
     factors, so the n-th series term of :func:`_lower_series` is
-    z^m sum_j C[j, n] L^j.  Kept for the last ``_PLANS`` weights.
+    z^(n+1) sum_j C[j, n] L^j.  The table is kept, for the last ``_PLANS``
+    weights, as the read-only column that :func:`_estrin` takes, whose
+    entry k (d + 1) + j is C[j, n] with n the 5-bit reversal of k.
     """
     total = _log_poly_gamma(q)
     q = tuple(c / total for c in q)
@@ -131,8 +180,20 @@ def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray]:
     for r in _SERIES_R[: len(q)]:
         table[: deriv.size] += deriv[:, None] * r
         deriv = deriv[1:] * np.arange(1.0, deriv.size)
-    table.flags.writeable = False
-    return q, table
+    column = table[:, _BIT_REVERSED].T.reshape(-1, 1)
+    column.flags.writeable = False
+    return q, column
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _floats(q: tuple[float, ...]) -> tuple[float, ...]:
+    """The series table of ``_plan(q)`` as Python floats, row after row, for the float path.
+
+    Built on the first float call for a weight, so array calls alone (the
+    sampler's table, say) hold no Python floats, some 3 kB a weight.
+    """
+    column = _plan(q)[1]
+    return tuple(column.reshape(_M.size, -1)[_BIT_REVERSED].T.ravel().tolist())
 
 
 def _upper_laguerre(q: tuple[float, ...], z: np.ndarray) -> np.ndarray:
@@ -149,17 +210,29 @@ def _upper_laguerre(q: tuple[float, ...], z: np.ndarray) -> np.ndarray:
     return half * (_horner(q, ell) * _LAGUERRE_W).sum(axis=-1) * half
 
 
-def _lower_series(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _lower_series(coef, z):
     """int_0^z q(ln v) e^-v dv by the power series of e^-v, for 0 <= z < 2.
 
     With m = n + 1 and L = ln z, int_0^z v^n q(ln v) dv is
     z^m sum_i (-1)^i q^(i)(L) / m^(i+1), and the n-th term carries
-    (-1)^n / n!.  Summed over i first, that is z^m times a polynomial in L
-    whose coefficients are column n of the weight's table (:func:`_plan`):
-    one Horner in L over the (points, 30) rows, then one row sum.
+    (-1)^n / n!.  Summed over i first, that is z^m sum_j C[j, n] L^j for
+    the weight's table C (:func:`_plan`).  So the sum is z times a Horner
+    in L over the rows' polynomials sum_n C[j, n] z^n, each by Estrin's
+    scheme.  The factor z comes last, so a subnormal z keeps every digit
+    the result can hold.  Elementwise: a float z with the table as floats
+    (:func:`_floats`) gives a float, an array z with its column gives an
+    array, with the same bits.
     """
-    ln_z = np.log(np.where(z > 0.0, z, 1.0))[:, None]  # z = 0 gives 0 below
-    return (z[:, None] ** _M * _horner(table, ln_z)).sum(axis=1)
+    ln_z = np.log(z + (z == 0.0))  # ln 1 at z = 0, where the factor z gives 0
+    return _horner(_estrin(coef, z), ln_z) * z
+
+
+def _series(q: tuple[float, ...], column: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`_lower_series` on the array ``z``: on floats, point by point, for a few points."""
+    if z.size <= _FEW:
+        floats = _floats(q)
+        return np.array([_lower_series(floats, v) for v in z.tolist()])
+    return _blocked(_lower_series, column, z)
 
 
 def _blocked(part, coef, z: np.ndarray) -> np.ndarray:
@@ -173,7 +246,7 @@ def _blocked(part, coef, z: np.ndarray) -> np.ndarray:
 
 def log_weight_shares(
     q: tuple[float, ...], z: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Upper and lower shares of the log-polynomial-weighted exponential integral.
 
     For the weight w(v) = q(ln v) = q0 + q1 ln v + ... + qd ln^d v, d <= 6,
@@ -184,11 +257,14 @@ def log_weight_shares(
     with T = int_0^inf w(v) e^-v dv = sum_j qj Gamma^(j)(1), which must not
     be 0.  For z >= 2 the upper integral is e^-z times a 40-node
     Gauss-Laguerre sum of w(z + t); for z < 2 the lower integral is the
-    power series sum_n (-1)^n/n! int_0^z v^n w(v) dv, whose 30 terms are
-    z^(n+1) times one polynomial in ln z each.  The weight divided by T and
-    those polynomials, a (d + 1, 30) table, are built once per weight and
-    kept for the last 32 weights, so a call with few points costs little
-    more than its points.  Only the regimes that hold points are evaluated.
+    power series sum_n (-1)^n/n! int_0^z v^n w(v) dv, 32 terms, which is z
+    times a polynomial in ln z whose coefficients are polynomials in z
+    (:func:`_lower_series`).  The weight divided by T and the series
+    table, (d + 1, 32), are built once per weight and kept for the last 32
+    weights.  The series runs on Python floats for a float z and for an
+    array with at most 4 points below 2, on arrays otherwise, with the same
+    bits, so a call with few points costs little more than its points.
+    Only the regimes that hold points are evaluated.
     Each regime gets the other share as 1 minus its own.  For the positive
     weights of the distribution functions that difference is never small
     (the lower part holds most of T from z = 2 on, the upper part a few
@@ -199,9 +275,18 @@ def log_weight_shares(
     make a part itself pass through 0; near there only the absolute
     accuracy, about 1e-16 in the share, holds.
 
-    Returns two arrays of the shape of ``z`` (0-d for a scalar).
+    Returns two floats for a float (or int) ``z``, else two arrays of the
+    shape of ``z`` (0-d for a 0-d array).
     """
-    q, table = _plan(tuple(map(float, q)))
+    key = tuple(map(float, q))
+    q, column = _plan(key)
+    if isinstance(z, (float, int)):
+        z = float(z)
+        if z >= _SPLIT:
+            upper = float(_upper_laguerre(q, np.array([z]))[0])
+            return upper, 1.0 - upper
+        lower = float(_lower_series(_floats(key), z))
+        return 1.0 - lower, lower
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     far = flat >= _SPLIT
@@ -210,14 +295,14 @@ def log_weight_shares(
         upper = _blocked(_upper_laguerre, q, flat)
         lower = 1.0 - upper
     elif n_far == 0:
-        lower = _blocked(_lower_series, table, flat)
+        lower = _series(key, column, flat)
         upper = 1.0 - lower
     else:
         near = ~far
         upper, lower = np.empty_like(flat), np.empty_like(flat)
         part = _blocked(_upper_laguerre, q, flat[far])
         upper[far], lower[far] = part, 1.0 - part
-        part = _blocked(_lower_series, table, flat[near])
+        part = _series(key, column, flat[near])
         lower[near], upper[near] = part, 1.0 - part
     return upper.reshape(zs.shape), lower.reshape(zs.shape)
 

@@ -150,6 +150,27 @@ class TestLogWeightShares:
                 assert err <= 2e-13 * abs(part / total) + tiny, (z, direct)
                 assert abs(other - (1 - part / total)) <= err + 4e-16, (z, other)
 
+    @pytest.mark.parametrize("q", [(1.0,), (0.0, 1.0), (0.0,) * 6 + (1.0,), (5.0, -4.0, 4.0)])
+    def test_lower_share_at_subnormal_z(self, q):
+        # Below the normal range the lower share is z times a polynomial in
+        # ln z (up to about 1e17 / T for ln^6 v) plus terms z^2 smaller, so
+        # it must come out rounded once: within one subnormal ulp plus a few
+        # ulps of the polynomial.  Oracle: 40-digit quadrature, as above.
+        import mpmath as mp
+
+        tiny = 2.0**-1074
+        with mp.workdps(40):
+            def w(v):
+                return sum(c * mp.log(v) ** j for j, c in enumerate(q))
+
+            total = mp.quad(lambda v: w(v) * mp.exp(-v), [0, 1, 10, 100, mp.inf])
+            for z in (5e-324, 1.5e-323, 3e-320, 1e-315, 4.4e-310, 2.2e-308):
+                zm = mp.mpf(z)
+                want = zm * mp.quad(lambda u: w(zm * u) * mp.exp(-zm * u), [0, 1]) / total
+                for form in (z, np.array([z])):
+                    lower = float(np.ravel(log_weight_shares(q, form)[1])[0])
+                    assert abs(lower - want) <= 2e-15 * abs(want) + tiny, (z, lower, float(want))
+
     def test_plan_cache_is_bounded(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):

@@ -27,8 +27,11 @@ from bgumbel import (
     representation_sample,
     weighted_gumbel_cdf,
 )
+from bgumbel.distribution import _bg_weight
+from bgumbel.special import log_weight_shares
 
 TRIPLES = [(1.0, 1.0, 2.0), (-2.0, 0.5, -1.0), (2.5, 2.0, -1.2), (1.5, 0.3, -0.7), (0.0, 1.0, 0.0)]
+SERIES_ZS = (5e-324, 1e-300, 1e-8, 0.05, 0.5, 1.99999, 2.0)
 
 
 def _oracle(mu, sigma, delta, x):
@@ -123,6 +126,29 @@ def test_array_and_scalar_agree_bit_for_bit():
         for k in (0, 1, 2):
             vec = weighted_gumbel_cdf(p.gumbel, k, xs)
             assert np.array_equal(vec, [weighted_gumbel_cdf(p.gumbel, k, float(x)) for x in xs])
+        # The series regime from subnormal z up to the split: a Python float,
+        # a 0-d and a 1-point array (the float path) against points of an
+        # array long enough for the array kernel, for the kernel and for
+        # x = mu - sigma ln z.
+        zs = np.array(SERIES_ZS)
+        long_z = np.concatenate([zs, np.linspace(0.01, 1.9, 20)])
+        shares = log_weight_shares(_bg_weight(p), long_z)
+        long_x = p.mu - p.sigma * np.log(long_z)
+        tables = [fn(p, long_x) for fn in (bg_cdf, bg_sf)] + [hazard(p, long_x).hazard]
+        for i, z in enumerate(SERIES_ZS):
+            for form in (z, np.array(z), np.array([z])):
+                got = log_weight_shares(_bg_weight(p), form)
+                assert all(np.array_equal(np.ravel(g), s[i : i + 1]) for g, s in zip(got, shares)), (triple, z)
+            x = float(long_x[i])
+            for form in (x, np.array(x), np.array([x])):
+                got = [bg_cdf(p, form), bg_sf(p, form), hazard(p, form).hazard]
+                assert all(np.array_equal(np.ravel(g), t[i : i + 1]) for g, t in zip(got, tables)), (triple, x)
+        # A float x, or a 0-d array, gives floats.
+        for x in (0.7, np.array(0.7), -1.0, math.inf, math.nan):
+            hp = hazard(p, x)
+            assert type(hp.survival) is float and type(hp.hazard) is float
+            assert all(type(fn(p, x)) is float for fn in (bg_cdf, bg_sf, bg_pdf, bg_log_pdf))
+        assert type(hazard(p, 0.7).x) is float
 
 
 def test_cdf_plus_survival_is_one_in_the_body():
