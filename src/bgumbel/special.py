@@ -95,7 +95,6 @@ _GAMMA_DERIVS_AT_2 = (
 
 _SPLIT = 2.0  # z from which log_weight_shares sums Gauss-Laguerre nodes
 _BLOCK = 256  # points per block: keeps the (points x nodes) temporaries small
-_FEW = 4  # series points up to which an array call runs the float path, point by point
 _Z_MAX = 800.0  # exp(-z) is 0.0 from z = 746 on
 _LN_MAX = 709.782712893384  # the largest float whose exponential is finite
 _PLANS = 32  # weights whose series table log_weight_shares keeps
@@ -123,11 +122,12 @@ def _estrin(c, x):
     Pairs c[2i] + c[2i+1] x, then pairs of those in x^2, x^4, x^8 and
     x^16, so the runs never mix.  A sequence of floats, run after run,
     with a float ``x`` gives a list of floats, one per run, three levels
-    and then two at a time.  An array ``c`` (:func:`_plan`'s column),
-    against an array ``x``, gives an array of one row per run, a level at
-    a time: its first axis holds the coefficients in an order in which
-    each level pairs its first half with its second, so every operand is
-    one contiguous block.  Same operations, same bits.
+    and then two at a time, hand-unrolled: a loop over the levels costs a
+    scalar call about half as much again.  An array ``c`` (:func:`_plan`'s
+    column), against an array ``x``, gives an array of one row per run, a
+    level at a time: its first axis holds the coefficients in an order in
+    which each level pairs its first half with its second, so every
+    operand is one contiguous block.  Same operations, same bits.
     """
     if isinstance(c, np.ndarray):
         runs = len(c) // 32
@@ -156,22 +156,37 @@ def _sorted_unique(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
+def _median(x: np.ndarray) -> float:
+    """The median of the non-empty float array ``x``: ``np.median`` as a float.
+
+    The same bits, but where the middle values are zeros of both signs,
+    and nan if ``x`` holds a nan.  ``np.median`` would import ``numpy.ma``
+    on its first call, about 15 ms.
+    """
+    s = np.sort(x, axis=None)
+    n = s.size
+    if np.isnan(s[-1]):
+        return math.nan
+    return float(s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2]))
+
+
 def _exp(t: float) -> float:
     """np.exp(t) as a float, with its bits, and inf where it overflows, without a warning."""
     return float(np.exp(t)) if not t > _LN_MAX else math.inf
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray]:
-    """The weight q / T, whose integral is 1, and its series table.
+def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray, tuple[float, ...]]:
+    """The weight q / T, whose integral is 1, and its series table in two forms.
 
     T = int_0^inf q(ln v) e^-v dv.  Row j of the (d + 1, 32) table holds
     C[j, n] = sum_i q^(i)_j R_i[n] for the normalized weight, where q^(i)_j
     is the coefficient of L^j in its i-th derivative and R_i the series
     factors, so the n-th series term of :func:`_lower_series` is
     z^(n+1) sum_j C[j, n] L^j.  The table is kept, for the last ``_PLANS``
-    weights, as the read-only column that :func:`_estrin` takes, whose
-    entry k (d + 1) + j is C[j, n] with n the 5-bit reversal of k.
+    weights, in the two forms that :func:`_estrin` takes: for arrays, a
+    read-only column whose entry k (d + 1) + j is C[j, n] with n the 5-bit
+    reversal of k; for floats, Python floats row after row.
     """
     total = _log_poly_gamma(q)
     q = tuple(c / total for c in q)
@@ -182,18 +197,7 @@ def _plan(q: tuple[float, ...]) -> tuple[tuple[float, ...], np.ndarray]:
         deriv = deriv[1:] * np.arange(1.0, deriv.size)
     column = table[:, _BIT_REVERSED].T.reshape(-1, 1)
     column.flags.writeable = False
-    return q, column
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _floats(q: tuple[float, ...]) -> tuple[float, ...]:
-    """The series table of ``_plan(q)`` as Python floats, row after row, for the float path.
-
-    Built on the first float call for a weight, so array calls alone (the
-    sampler's table, say) hold no Python floats, some 3 kB a weight.
-    """
-    column = _plan(q)[1]
-    return tuple(column.reshape(_M.size, -1)[_BIT_REVERSED].T.ravel().tolist())
+    return q, column, tuple(table.ravel().tolist())
 
 
 def _upper_laguerre(q: tuple[float, ...], z: np.ndarray) -> np.ndarray:
@@ -220,22 +224,21 @@ def _lower_series(coef, z):
     in L over the rows' polynomials sum_n C[j, n] z^n, each by Estrin's
     scheme.  The factor z comes last, so a subnormal z keeps every digit
     the result can hold.  Elementwise: a float z with the table as floats
-    (:func:`_floats`) gives a float, an array z with its column gives an
-    array, with the same bits.
+    gives a float, an array z with the table as a column gives an array,
+    with the same bits (:func:`_plan` keeps both).
     """
     ln_z = np.log(z + (z == 0.0))  # ln 1 at z = 0, where the factor z gives 0
     return _horner(_estrin(coef, z), ln_z) * z
 
 
-def _series(q: tuple[float, ...], column: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`_lower_series` on the array ``z``: on floats, point by point, for a few points."""
-    if z.size <= _FEW:
-        floats = _floats(q)
-        return np.array([_lower_series(floats, v) for v in z.tolist()])
-    return _blocked(_lower_series, column, z)
-
-
 def _blocked(part, coef, z: np.ndarray) -> np.ndarray:
+    """``part(coef, z)`` on the 1-D array ``z``, in blocks of ``_BLOCK`` points.
+
+    An empty ``z`` is returned as it is, so a regime without points costs
+    nothing.
+    """
+    if not z.size:
+        return z
     if z.size <= _BLOCK:
         return part(coef, z)
     out = np.empty_like(z)
@@ -261,10 +264,9 @@ def log_weight_shares(
     times a polynomial in ln z whose coefficients are polynomials in z
     (:func:`_lower_series`).  The weight divided by T and the series
     table, (d + 1, 32), are built once per weight and kept for the last 32
-    weights.  The series runs on Python floats for a float z and for an
-    array with at most 4 points below 2, on arrays otherwise, with the same
-    bits, so a call with few points costs little more than its points.
-    Only the regimes that hold points are evaluated.
+    weights (:func:`_plan`).  A float z runs on Python floats and an array
+    z on numpy arrays, whatever its size or regimes, with the same bits:
+    an array call pays a fixed numpy cost, a float one only for its point.
     Each regime gets the other share as 1 minus its own.  For the positive
     weights of the distribution functions that difference is never small
     (the lower part holds most of T from z = 2 on, the upper part a few
@@ -278,32 +280,23 @@ def log_weight_shares(
     Returns two floats for a float (or int) ``z``, else two arrays of the
     shape of ``z`` (0-d for a 0-d array).
     """
-    key = tuple(map(float, q))
-    q, column = _plan(key)
+    q, column, floats = _plan(tuple(map(float, q)))
     if isinstance(z, (float, int)):
         z = float(z)
         if z >= _SPLIT:
             upper = float(_upper_laguerre(q, np.array([z]))[0])
             return upper, 1.0 - upper
-        lower = float(_lower_series(_floats(key), z))
+        lower = float(_lower_series(floats, z))
         return 1.0 - lower, lower
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     far = flat >= _SPLIT
-    n_far = np.count_nonzero(far)
-    if n_far == flat.size:
-        upper = _blocked(_upper_laguerre, q, flat)
-        lower = 1.0 - upper
-    elif n_far == 0:
-        lower = _series(key, column, flat)
-        upper = 1.0 - lower
-    else:
-        near = ~far
-        upper, lower = np.empty_like(flat), np.empty_like(flat)
-        part = _blocked(_upper_laguerre, q, flat[far])
-        upper[far], lower[far] = part, 1.0 - part
-        part = _series(key, column, flat[near])
-        lower[near], upper[near] = part, 1.0 - part
+    near = ~far
+    upper, lower = np.empty_like(flat), np.empty_like(flat)
+    part = _blocked(_upper_laguerre, q, flat[far])
+    upper[far], lower[far] = part, 1.0 - part
+    part = _blocked(_lower_series, column, flat[near])
+    lower[near], upper[near] = part, 1.0 - part
     return upper.reshape(zs.shape), lower.reshape(zs.shape)
 
 
@@ -325,8 +318,8 @@ def incomplete_log_moment(k: int, a: float, b: float = math.inf) -> float:
     k = int(k)
     if k == 0:
         return math.exp(-a) - math.exp(-b)
-    s = log_weight_shares((0.0,) * k + (1.0,), np.array([a, b]))[0]
-    return float(log_moment_constant(k) * (s[0] - s[1]))
+    q = (0.0,) * k + (1.0,)
+    return float(log_moment_constant(k) * (log_weight_shares(q, a)[0] - log_weight_shares(q, b)[0]))
 
 
 def log_moment_constant(k: int) -> float:

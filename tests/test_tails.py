@@ -120,16 +120,33 @@ def test_array_and_scalar_agree_bit_for_bit():
         for fn in (bg_cdf, bg_sf):
             assert np.array_equal(fn(p, few), [fn(p, np.asarray(x)) for x in few])
             assert np.array_equal(fn(p, few.reshape(2, 2)), fn(p, few).reshape(2, 2))
+        # Arrays of 2 to 4 points, and arrays wholly on one side of z = 2,
+        # run the array kernel and agree with the float calls point by point.
+        q = _bg_weight(p)
+        z_at = np.exp(-(xs - p.mu) / p.sigma)
+        for pts in (xs[:2], xs[:3], xs[:4], xs[z_at >= 2.0][:40], xs[z_at < 2.0][:40]):
+            for fn in (bg_cdf, bg_sf):
+                assert np.array_equal(fn(p, pts), [fn(p, float(x)) for x in pts])
+            assert np.array_equal(hazard(p, pts).hazard, [hazard(p, float(x)).hazard for x in pts])
+        for side in (z_at[z_at >= 2.0], z_at[z_at < 2.0]):
+            for n in (2, 3, 4, 40):
+                got = log_weight_shares(q, side[:n])
+                assert np.array_equal(got, np.transpose([log_weight_shares(q, float(z)) for z in side[:n]]))
+        # An empty array gives two empty arrays, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper, lower = log_weight_shares(q, np.array([]))
+            assert upper.shape == lower.shape == (0,)
+            assert bg_cdf(p, np.empty((0, 3))).shape == (0, 3)
         hp = hazard(p, xs)
         assert np.array_equal(hp.hazard, [hazard(p, float(x)).hazard for x in xs])
         assert np.array_equal(hazard(p, xs.reshape(-1, 5)).hazard, hp.hazard.reshape(-1, 5))
         for k in (0, 1, 2):
             vec = weighted_gumbel_cdf(p.gumbel, k, xs)
             assert np.array_equal(vec, [weighted_gumbel_cdf(p.gumbel, k, float(x)) for x in xs])
-        # The series regime from subnormal z up to the split: a Python float,
-        # a 0-d and a 1-point array (the float path) against points of an
-        # array long enough for the array kernel, for the kernel and for
-        # x = mu - sigma ln z.
+        # The series regime from subnormal z up to the split: a Python float
+        # (the float path), a 0-d and a 1-point array against points of a
+        # long array, for the kernel and for x = mu - sigma ln z.
         zs = np.array(SERIES_ZS)
         long_z = np.concatenate([zs, np.linspace(0.01, 1.9, 20)])
         shares = log_weight_shares(_bg_weight(p), long_z)
