@@ -35,7 +35,7 @@ import numpy as np
 
 from .distribution import BgParams, _expectation
 from .errors import DegenerateDataError, InsufficientDataError
-from .special import CONSTANTS, _median, _sorted_unique
+from .special import CONSTANTS, _sorted_unique
 
 __all__ = [
     "FitResult",
@@ -351,8 +351,8 @@ def _delta_grid(x: np.ndarray) -> np.ndarray:
     finer scale 1/|median|.  So the spacing is even for |delta| below
     _GRID_KNEE / (|median| + s) and geometric beyond it.
     """
-    med = _median(x)
-    s = 1.4826 * _median(np.abs(x - med)) or float(x.std())
+    med = float(np.median(x))
+    s = 1.4826 * float(np.median(np.abs(x - med))) or float(x.std())
     c = math.asinh(_GRID_REACH * (abs(med) + s) / (_GRID_KNEE * s))
     u = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_HALF
     return (_GRID_REACH / s) * np.sinh(c * u) / math.sinh(c)

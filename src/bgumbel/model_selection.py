@@ -16,7 +16,7 @@ import numpy as np
 from .distribution import bg_cdf, gumbel_cdf
 from .errors import InsufficientDataError
 from .inference import FitResult, fit_gumbel_mle, fit_mle
-from .special import _chi2_sf, _kolmogorov_sf, _median
+from .special import _chi2_sf, _kolmogorov_sf
 
 __all__ = [
     "BlockMaximaConfig",
@@ -177,7 +177,7 @@ def descriptive_stats(data) -> DescriptiveStats:
     sd = float(x.std(ddof=1)) if x.size > 1 else 0.0
     return DescriptiveStats(
         mean=float(x.mean()),
-        median=_median(x),
+        median=float(np.median(x)),
         maximum=float(x.max()),
         minimum=float(x.min()),
         std_dev=sd,

@@ -156,20 +156,6 @@ def _sorted_unique(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
-def _median(x: np.ndarray) -> float:
-    """The median of the non-empty float array ``x``: ``np.median`` as a float.
-
-    The same bits, but where the middle values are zeros of both signs,
-    and nan if ``x`` holds a nan.  ``np.median`` would import ``numpy.ma``
-    on its first call, about 15 ms.
-    """
-    s = np.sort(x, axis=None)
-    n = s.size
-    if np.isnan(s[-1]):
-        return math.nan
-    return float(s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2]))
-
-
 def _exp(t: float) -> float:
     """np.exp(t) as a float, with its bits, and inf where it overflows, without a warning."""
     return float(np.exp(t)) if not t > _LN_MAX else math.inf

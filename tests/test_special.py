@@ -21,7 +21,6 @@ from bgumbel.special import (
     _chi2_sf,
     _kolmogorov_sf,
     _log_poly_gamma,
-    _median,
     _plan,
     _polygammas,
     _roots,
@@ -328,15 +327,6 @@ class TestRoots:
             _brentq(lambda t: math.nan if t > 0.5 else t, -1.0, 1.0)
         with pytest.raises(RuntimeError):  # bisection only, from a bracket of 2e300
             _brentq(lambda t: 1.0 if t > 0.3 else -1.0, -1e300, 1e300)
-
-
-def test_median_matches_numpy():
-    # Odd and even sizes, ties and a nan, bit for bit.
-    rng = np.random.default_rng(17)
-    for n in [*range(1, 40), 500, 2001]:
-        for x in (rng.normal(size=n), rng.gumbel(3.0, 2.0, n).round(1)):
-            assert _median(x) == float(np.median(x))
-    assert math.isnan(_median(np.array([1.0, math.nan, 2.0])))
 
 
 class TestGofTails:
