@@ -4,13 +4,15 @@ Critical points of the BG density are the roots of
 
     g(x) = (1/sigma) [exp(-(x - mu)/sigma) - 1] - 2 delta (1 - delta x) / [(1 - delta x)^2 + 1]
 
-since f'(x) = f(x) g(x).  The density is bimodal exactly when g has three
-roots r1 < r2 < r3: the outer two are modes, the middle one the antimode.
-A sufficient condition set C on (mu, sigma, delta), together with an
-x-interval D on which g is strictly increasing, guarantees that root
-structure; both are evaluated here as diagnostics alongside a general root
-search: one grid of a window proven to hold every root of g, its sign changes
-refined by ``brentq``.
+since f'(x) = f(x) g(x).  With t = delta x, u = 1 - t, w = (x - mu)/sigma,
+g' = (e^-w/sigma^2)(e^phi_2 - 1) for 0 < t < 2, and g' < 0 for other x, where
+
+    phi_k = ln(2 sigma^2 delta^2) + ln(t (2 - t)) - k ln(1 + u^2) + w
+
+is strictly concave in t.  So g has at most two extrema and three roots
+r1 < r2 < r3, and the density is at most bimodal: the outer roots are
+modes, the middle one the antimode.  The paper's sufficient condition set C
+and interval D = {h < 0} = {phi_1 > 0} are reported as diagnostics.
 """
 from __future__ import annotations
 
@@ -21,7 +23,9 @@ import numpy as np
 
 from .distribution import BgParams, _bg_weight, _float_or_array, _log_density
 from .errors import RegimeError, RootIsolationError
-from .special import _exp, _roots, _sorted_unique, log_weight_shares
+from .special import _brentq, _exp, log_weight_shares
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "ConditionCReport",
@@ -115,75 +119,86 @@ def check_condition_c(p: BgParams) -> ConditionCReport:
     return ConditionCReport(c1 and c2 and c3 and c4, c1, c2, c3, c4)
 
 
-def _g_increase_gap(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
-    """h(x) = 2 d^2 (u^2-1)/(u^2+1) + exp(-(x-mu)/s)/s^2; D is where h < 0 (g' > 0)."""
-    u = 1.0 - p.delta * x
-    w = (x - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        return 2.0 * p.delta**2 * (u * u - 1.0) / (u * u + 1.0) + np.exp(-w) / p.sigma**2
+def _crossings(p: BgParams, k: int) -> tuple[float, float] | None:
+    """The zeros x_a < x_b of phi_k (module docstring), or None if phi_k <= 0.
+
+    Solved in s = ln(t/(2 - t)), where ln(t (2 - t)) = 2 ln 2 - |s| -
+    2 ln(1 + e^-|s|) keeps its digits at both ends and phi_k <= c + w - |s|,
+    c = ln(8 sigma^2 delta^2), with w monotone in s, bounds each zero's
+    bracket.  dphi_k/ds has the sign of psi = 1/(delta sigma) - sinh s +
+    2k u/(1 + u^2), which falls strictly, so the maximum lies where sinh s
+    is within k of 1/(delta sigma); a margin of 2k holds for sigma|delta|
+    above about 1e-14.  Every solve has xtol 4 eps in s.
+    """
+    mu, sg, dl = p.mu, p.sigma, p.delta
+    a, c = 1.0 / (dl * sg), math.log(8.0 * (sg * dl) ** 2)
+
+    def t_at(s: float) -> float:
+        e = math.exp(-abs(s))
+        return 2.0 * (e if s < 0.0 else 1.0) / (1.0 + e)
+
+    def w(t: float) -> float:
+        return (t / dl - mu) / sg
+
+    def phi(s: float) -> float:
+        t = t_at(s)
+        return c - abs(s) - 2.0 * math.log1p(math.exp(-abs(s))) - k * math.log1p((1.0 - t) ** 2) + w(t)
+
+    def psi(s: float) -> float:
+        u = -math.tanh(0.5 * s)
+        return a - math.sinh(s) + 2.0 * k * u / (1.0 + u * u)
+
+    top = _brentq(psi, math.asinh(a - 2.0 * k), math.asinh(a + 2.0 * k), 4.0 * _EPS)
+    if not phi(top) > 0.0:
+        return None
+    w_top = w(t_at(top))
+    ends = (-(c + max(w(0.0), w_top) + 1.0), c + max(w(2.0), w_top) + 1.0)
+    x_a, x_b = sorted(t_at(_brentq(phi, top, end, 4.0 * _EPS)) / dl for end in ends)
+    return x_a, x_b
 
 
 def d_interval(p: BgParams) -> tuple[float, float] | None:
-    """Interval D on which g is strictly increasing, for parameters in C.
+    """The paper's interval D = {x : h(x) < 0}, for parameters in C.
 
-    Condition 1 forces delta > 1, and h < 0 needs (1 - delta x)^2 < 1, so D
-    lies in (0, 2/delta).  At both ends (1 - delta x)^2 = 1 and h > 0, so
-    D runs from the first to the last sign change of h on a 16385-point
-    grid of that interval, each refined by ``brentq``; returns None when h
-    has no sign change.
+    h = 2 delta^2 (u^2 - 1)/(u^2 + 1) + e^-w/sigma^2 < 0 exactly where
+    phi_1 > 0.  D contains the interval where g increases, ``_crossings(p, 2)``,
+    but is wider: h has (u^2 + 1) where -g' has (u^2 + 1)^2.
     """
     if not check_condition_c(p).holds:
         raise RegimeError("d_interval requires the condition set C to hold")
-    roots = _roots(lambda x: _g_increase_gap(p, x), np.linspace(0.0, 2.0 / p.delta, 16385))
-    return (roots[0][0], roots[-1][0]) if roots else None
-
-
-def _search_grid(p: BgParams) -> np.ndarray:
-    """Root-search abscissae on a window [lo, hi] proven to hold every root of g.
-
-    Write g = (e^-w - 1)/sigma - r with w = (x - mu)/sigma, u = 1 - delta x
-    and r = 2 delta u/(u^2 + 1), so |r| <= |delta| and |r| < 2|delta|/|u|.
-    For x <= lo = mu - sigma (1 + ln(1 + sigma|delta|)), e^-w is at least
-    e (1 + sigma|delta|), so g >= (e - 1)(1/sigma + |delta|) > 0.  For
-    x >= mu + sigma ln 2, e^-w <= 1/2, and |r| < 1/(2 sigma) too: by
-    |r| <= |delta| if sigma|delta| < 1/2, else for x >= 1/delta + 4 sigma,
-    where |u| >= 4 sigma|delta|.  So g < 0 for x >= hi, the bound the case
-    needs, and any grid of [lo, hi] shows an odd number of sign changes.
-    The grid: 4096 points on [lo, hi] and 2048 on each of mu +- 8 sigma and
-    1/delta +- 3/|delta| (where the rational term varies), clipped to [lo, hi].
-    """
-    mu, sg, dl = p.mu, p.sigma, p.delta
-    lo = mu - sg * (1.0 + math.log1p(sg * abs(dl)))
-    hi = mu + sg * math.log(2.0)
-    if sg * abs(dl) >= 0.5:
-        hi = max(hi, 1.0 / dl + 4.0 * sg)
-    pieces = [np.linspace(lo, hi, 4096)]
-    for c, r in [(mu, 8.0 * sg)] + ([(1.0 / dl, 3.0 / abs(dl))] if dl else []):
-        if max(lo, c - r) < min(hi, c + r):
-            pieces.append(np.linspace(max(lo, c - r), min(hi, c + r), 2048))
-    return _sorted_unique(np.concatenate(pieces))
+    return _crossings(p, 1)
 
 
 def find_modes(p: BgParams) -> ShapeReport:
     """Locate all critical points of the density and classify the shape.
 
-    Works for arbitrary valid parameters; the condition-set diagnostics are
-    reported but never gate the search.  The roots of g are bracketed on one
-    grid of a window proven to hold them all (``_search_grid``) and refined
-    by ``brentq``; + -> - marks a mode and - -> + the antimode.  A pair of
-    roots closer together than the grid spacing can still go unseen.
+    The condition-set diagnostics never gate the search.  With
+    r = 2 delta u/(u^2 + 1), |r| <= |delta| and |r| < 2|delta|/|u|, so
+    g >= (e - 1)(1/sigma + |delta|) > 0 for x <= lo = mu - sigma (1 + ln(1 + sigma|delta|)),
+    and g < 0 for x >= hi: e^-w <= 1/2 beyond mu + sigma ln 2, and |r| < 1/(2 sigma)
+    if sigma|delta| < 1/2, else beyond 1/delta + 4 sigma.  In the first case g' < 0
+    on all of [lo, hi] (e^-w >= 1/2 there, 2 delta^2 (1 - u^2)/(1 + u^2)^2 <= 2 delta^2);
+    else g rises only on (x_a, x_b) = ``_crossings(p, 2)``.  So g is monotone between
+    the cuts lo, x_a, x_b, hi, and each pair that differs in sign (> 0 against <= 0)
+    holds one root: 1 or 3 in all.  Brent's rtol 8.9e-16 ties each root's tolerance
+    to the root; the xtol eps sigma/16 floors it near 0, at a sixteenth of the step
+    in x at which e^-w rounds.
     """
-    roots = _roots(lambda x: critical_function_g(p, x), _search_grid(p))
+    mu, sg, dl = p.mu, p.sigma, p.delta
+    lo, hi = mu - sg * (1.0 + math.log1p(sg * abs(dl))), mu + sg * math.log(2.0)
+    inner: tuple[float, ...] = ()
+    if sg * abs(dl) >= 0.5:
+        hi = max(hi, 1.0 / dl + 4.0 * sg)
+        inner = tuple(min(max(x, lo), hi) for x in _crossings(p, 2) or ())
+    cuts = (lo, *inner, hi)
+
+    pos = [critical_function_g(p, x) > 0.0 for x in cuts]
+    roots = [(_brentq(lambda x: critical_function_g(p, x), a, b, _EPS * sg / 16.0), pos_a)
+             for a, b, pos_a, pos_b in zip(cuts, cuts[1:], pos, pos[1:]) if pos_a != pos_b]
+    if [is_mode for _, is_mode in roots] not in ([True], [True, False, True]):
+        raise RootIsolationError(f"unexpected critical-point structure for {p}: {roots}")
     modes = tuple(r for r, is_mode in roots if is_mode)
-    antimodes = tuple(r for r, is_mode in roots if not is_mode)
-    if len(modes) == 1 and not antimodes:
-        modality, antimode = "unimodal", None
-    elif len(modes) == 2 and len(antimodes) == 1:
-        modality, antimode = "bimodal", antimodes[0]
-    else:
-        raise RootIsolationError(
-            f"unexpected critical-point structure for {p}: modes={modes}, antimodes={antimodes}"
-        )
+    antimode = roots[1][0] if len(roots) == 3 else None
 
     creport = check_condition_c(p)
     dint = d_interval(p) if creport.holds else None
@@ -191,7 +206,7 @@ def find_modes(p: BgParams) -> ShapeReport:
         antimode is not None and dint is not None and dint[0] < antimode < dint[1]
     )
     return ShapeReport(
-        modality=modality,
+        modality="bimodal" if antimode is not None else "unimodal",
         modes=modes,
         antimode=antimode,
         condition_c_holds=creport.holds,

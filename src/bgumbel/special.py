@@ -11,11 +11,10 @@ of degree at most 6 it gives the shares of int_0^inf q(ln v) e^-v dv above
 and below z, by Gauss-Laguerre for z >= 2 and a power series below.  The
 distribution functions and :func:`incomplete_log_moment` are wrappers over
 it.  Every complete integral, hence every moment, comes from the private
-:func:`_log_poly_gamma`.  The private :func:`_roots` is the one bracketed
-root search of the package (the modes and the interval D); it refines each
-root with :func:`_brentq`, a port of Brent's method as SciPy's
-``optimize/Zeros/brentq.c`` writes it (Brent 1973, ch. 4), which gives the
-same floats.  The goodness-of-fit p-values come from the pure-Python
+:func:`_log_poly_gamma`.  The private :func:`_brentq`, the package's one
+root finder (the modes and the interval D), is a port of Brent's method as
+SciPy's ``optimize/Zeros/brentq.c`` writes it (Brent 1973, ch. 4), which
+gives the same floats.  The goodness-of-fit p-values come from the pure-Python
 :func:`_kolmogorov_sf` and :func:`_chi2_sf`, and psi^(m), m = 0..3, from the
 recurrence and asymptotic series of :func:`_polygammas`.  No SciPy is used.
 """
@@ -402,26 +401,6 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
 
 
 _RTOL, _ITERATIONS = 8.9e-16, 100  # of _brentq
-_EPS4 = 4.0 * np.finfo(float).eps  # the xtol of _roots per unit of its bracket's reach
-
-
-def _roots(f, xs: np.ndarray) -> list[tuple[float, bool]]:
-    """Every change of the vectorized ``f`` between > 0 and <= 0 on the grid ``xs``.
-
-    Each is refined by :func:`_brentq` on ``f`` called with a float, with
-    rtol 8.9e-16 and an xtol of 4 eps max(|a|, |b|) on the bracket [a, b],
-    so a root near 0 is found to a few ulps of itself, not to 1e-12.
-    Returns ascending (root, f falls there) pairs.  A node where f is
-    exactly 0 sides with the nonpositive values, so a simple root there is
-    found once, with its right flag.
-    """
-    pos = f(xs) > 0
-    out = []
-    for i in np.flatnonzero(pos[1:] != pos[:-1]):
-        a, b = float(xs[i]), float(xs[i + 1])
-        root = _brentq(lambda t: float(f(t)), a, b, _EPS4 * max(abs(a), abs(b)))
-        out.append((root, bool(pos[i])))
-    return out
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 1e-12) -> float:

@@ -19,6 +19,7 @@ from bgumbel import (
     gumbel_cdf,
     gumbel_moment,
     gumbel_pdf,
+    gumbel_ppf,
     mixture_weights,
     normalizer,
     weighted_gumbel_cdf,
@@ -164,6 +165,32 @@ class TestCdf:
         for x in (-1.0, 0.2, 1.5, 3.0):
             fd = (bg_cdf(p, x + h) - bg_cdf(p, x - h)) / (2 * h)
             assert fd == pytest.approx(bg_pdf(p, x), rel=1e-5)
+
+
+class TestGumbelPpf:
+    GP = GumbelParams(-1.5, 2.5)
+
+    def test_round_trip_through_cdf(self):
+        qs = np.linspace(1e-3, 1 - 1e-3, 999)
+        xs = gumbel_ppf(self.GP, qs)
+        assert np.all(np.diff(xs) > 0)
+        assert np.allclose(gumbel_cdf(self.GP, xs), qs, rtol=1e-13, atol=0.0)
+
+    def test_median(self):
+        assert gumbel_ppf(self.GP, 0.5) == pytest.approx(-1.5 - 2.5 * math.log(math.log(2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
+    def test_levels_outside_the_open_unit_interval_raise(self, q):
+        with pytest.raises(ValueError):
+            gumbel_ppf(self.GP, q)
+        with pytest.raises(ValueError):
+            gumbel_ppf(self.GP, np.array([0.5, q]))
+
+    def test_float_for_a_scalar_array_for_an_array(self):
+        assert type(gumbel_ppf(self.GP, 0.3)) is float
+        out = gumbel_ppf(self.GP, np.array([0.3, 0.6]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[0] == gumbel_ppf(self.GP, 0.3)
 
 
 class TestWeightedGumbelCdf:

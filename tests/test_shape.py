@@ -16,13 +16,21 @@ from bgumbel import (
     hazard,
     tail_rate,
 )
-from bgumbel.shape import _g_increase_gap
+from bgumbel.shape import _crossings
 from helpers import fd_log_pdf_derivative, wide_box
 
 CANONICAL = BgParams(1.0, 1.0, 2.0)
 # High-precision critical points of the canonical bimodal parameter set.
 R1, R2, R3 = -0.0896138, 0.389792, 2.79117
 D_LO, D_HI = 0.132178, 0.937349
+# At (0, 1, DELTA_STAR), g has a double root at x = 2.11089991702203 (40-digit mpmath).
+DELTA_STAR = 0.887059435767080288
+
+
+def _h(p, x):
+    """The paper's h = 2 delta^2 (u^2 - 1)/(u^2 + 1) + e^-w/sigma^2; D is where h < 0."""
+    u = 1.0 - p.delta * x
+    return 2.0 * p.delta**2 * (u * u - 1.0) / (u * u + 1.0) + np.exp(-(x - p.mu) / p.sigma) / p.sigma**2
 
 
 def _mp_critical_points(mu, sigma, delta, lo, hi, n):
@@ -106,8 +114,8 @@ class TestDInterval:
     def test_endpoints_are_roots_of_the_gap(self):
         p = BgParams(1.0, 1.0, 2.5)
         lo, hi = d_interval(p)
-        assert abs(float(_g_increase_gap(p, np.array([lo]))[0])) < 1e-8
-        assert abs(float(_g_increase_gap(p, np.array([hi]))[0])) < 1e-8
+        assert abs(_h(p, lo)) < 1e-8
+        assert abs(_h(p, hi)) < 1e-8
 
     def test_requires_condition_c(self):
         with pytest.raises(RegimeError):
@@ -116,7 +124,20 @@ class TestDInterval:
     def test_interior_is_negative(self):
         lo, hi = d_interval(CANONICAL)
         xs = np.linspace(lo + 1e-6, hi - 1e-6, 100)
-        assert np.all(_g_increase_gap(CANONICAL, xs) < 0)
+        assert np.all(_h(CANONICAL, xs) < 0)
+
+    def test_contains_the_interval_where_g_increases(self):
+        # D is {h < 0}, not the interval (x_a, x_b) on which g increases:
+        # h has (u^2 + 1) where -g' has (u^2 + 1)^2, so D holds it and is wider.
+        lo, hi = d_interval(CANONICAL)
+        xa, xb = _crossings(CANONICAL, 2)
+        assert lo < xa < xb < hi
+
+        def slope(x, h=1e-6):
+            return (critical_function_g(CANONICAL, x + h) - critical_function_g(CANONICAL, x - h)) / (2 * h)
+
+        for end, inward in ((xa, 1e-3), (xb, -1e-3)):
+            assert slope(end + inward) > 0 > slope(end - inward)
 
 
 class TestFindModes:
@@ -210,6 +231,35 @@ class TestFindModes:
             want = [r for r, f in oracle if f == falls]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("eps, peak", [(1e-10, 1.13e-10), (1e-12, 1.13e-12), (-1e-12, -1.13e-12)])
+    def test_near_double_root_against_mpmath(self, eps, peak):
+        # delta = DELTA_STAR (1 + eps) lifts g's local maximum near x = 2.1109
+        # to about 1.13 eps: above 0 the density is bimodal, with the antimode
+        # and the right mode about 3.2e-5 sqrt(eps / 1e-10) apart.
+        delta = DELTA_STAR * (1.0 + eps)
+        with mp.workdps(40):
+            d = mp.mpf(delta)
+
+            def g(x):
+                u = 1 - d * x
+                return mp.exp(-x) - 1 - 2 * d * u / (1 + u * u)
+
+            def dg(x):
+                u = 1 - d * x
+                return -mp.exp(-x) + 2 * d * d * (1 - u * u) / (1 + u * u) ** 2
+
+            top = mp.findroot(dg, mp.mpf(2.1109))
+            assert float(g(top)) == pytest.approx(peak, rel=0.01)
+            pair = [mp.findroot(g, (top + side, top), solver="anderson")
+                    for side in (-0.01, 0.01) if eps > 0]
+        rep = find_modes(BgParams(0.0, 1.0, delta))
+        if eps > 0:
+            assert rep.modality == "bimodal"
+            assert rep.antimode == pytest.approx(float(pair[0]), abs=1e-10)
+            assert rep.modes[1] == pytest.approx(float(pair[1]), abs=1e-10)
+        else:
+            assert rep.modality == "unimodal" and rep.antimode is None
+
 
 class TestHazard:
     def test_gumbel_point_values(self):
@@ -220,9 +270,10 @@ class TestHazard:
 
     def test_monotonicity_pattern_canonical(self):
         # Increasing left of the first mode and between antimode and second
-        # mode; decreasing on the g-increase interval left of the antimode
-        # (right of the antimode that interval overlaps the increasing
-        # stretch, so only the left part can decrease).
+        # mode; decreasing on the part of D = {h < 0} left of the antimode
+        # (right of the antimode D overlaps the increasing stretch, so only
+        # its left part can decrease).  D holds the interval on which g
+        # increases and is wider.
         rep = find_modes(CANONICAL)
         r1, r2, r3 = rep.modes[0], rep.antimode, rep.modes[1]
         lo, hi = rep.d_interval

@@ -13,8 +13,7 @@ from bgumbel import (
     log_moment_constant,
     trigamma,
 )
-from bgumbel import BgParams, critical_function_g, find_modes
-from bgumbel.shape import _search_grid
+from bgumbel import BgParams, d_interval, find_modes, shape
 from bgumbel.special import (
     _PLANS,
     _brentq,
@@ -23,7 +22,6 @@ from bgumbel.special import (
     _log_poly_gamma,
     _plan,
     _polygammas,
-    _roots,
     log_weight_shares,
 )
 from helpers import random_params, simpson_log_moment, wide_box
@@ -276,31 +274,29 @@ class TestGammaDerivatives:
 
 
 class TestRoots:
-    def test_exact_zero_at_a_node_is_one_root(self):
-        xs = np.linspace(-1.0, 1.0, 5)  # 0.0 is a node
-        assert _roots(lambda x: x, xs) == [(0.0, False)]
-        assert _roots(lambda x: -x, xs) == [(0.0, True)]
-
-    def test_brent_port_matches_scipy_brentq(self):
-        # The same floats as SciPy's brentq on the same brackets and settings
-        # (the xtol _roots scales to each bracket): find_modes' grids on
-        # bench-box triples and on wide-box ones.
+    def test_brent_port_matches_scipy_brentq(self, monkeypatch):
+        # The same floats as SciPy's brentq on every bracket and xtol that
+        # find_modes and d_interval hand to _brentq: the maximum and the
+        # zeros of phi_k, and the roots of g, on bench-box and wide-box
+        # triples, and D on four triples in C.
         from scipy.optimize import brentq
 
+        calls = []
+
+        def recorded(f, xa, xb, xtol):
+            calls.append((f, xa, xb, xtol, _brentq(f, xa, xb, xtol)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(shape, "_brentq", recorded)
         rng = np.random.default_rng(31)
         params = [random_params(rng) for _ in range(300)] + wide_box(np.random.default_rng(32), 300)
-        count = 0
         for p in params:
-            xs = _search_grid(p)
-            pos = critical_function_g(p, xs) > 0
-            want = [
-                brentq(lambda t: float(critical_function_g(p, t)), xs[i], xs[i + 1],
-                       xtol=4.0 * np.finfo(float).eps * max(abs(xs[i]), abs(xs[i + 1])), rtol=8.9e-16)
-                for i in np.flatnonzero(pos[1:] != pos[:-1])
-            ]
-            assert [r for r, _ in _roots(lambda x: critical_function_g(p, x), xs)] == want
-            count += len(want)
-        assert count > len(params)
+            find_modes(p)
+        for delta in (1.9, 2.2, 2.5, 2.8):
+            d_interval(BgParams(1.0, 1.0, delta))
+        for f, xa, xb, xtol, got in calls:
+            assert got == brentq(f, xa, xb, xtol=xtol, rtol=8.9e-16)
+        assert len(calls) > 2 * len(params)
 
     def test_root_near_zero_is_relatively_accurate(self):
         # delta puts the mode at -2.06e-4 exactly (solved at 40 digits).  g's
