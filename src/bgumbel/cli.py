@@ -4,7 +4,7 @@ Subcommands
 -----------
 eval      Evaluate pdf / cdf / hazard tables, moment summaries or the mode
           structure for a parameter triple.
-sample    Draw random variates (Metropolis or mixture-representation) to CSV.
+sample    Draw random variates (Metropolis, or exact by inversion) to CSV.
 simulate  Moment-recovery study over the four built-in parameter sets:
           sample vs population mean/variance with biases, plus chain
           prefixes for convergence plotting.
@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sa)
     sa.add_argument("--n", type=_positive_int, required=True, help="number of draws")
     sa.add_argument("--seed", type=int, default=None)
-    sa.add_argument("--method", choices=["mh", "representation"], default="mh")
+    sa.add_argument("--method", choices=["mh", "representation"], default="mh",
+                    help="Metropolis, or exact inversion of the mixture's distribution function")
     sa.add_argument("--burn-in", dest="burn_in", type=int, default=None,
                     help="extra Metropolis iterations discarded before the n draws")
     sa.add_argument("--scale", type=float, default=None, help="Metropolis proposal scale")

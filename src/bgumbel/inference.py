@@ -6,28 +6,27 @@ The log likelihood of observations x_1..x_n is
     B = sum_i ln[(1 - delta x_i)^2 + 1],   G = -n ln sigma - sum_i { w_i + exp(-w_i) },
 
 with w_i = (x_i - mu)/sigma and Z the closed-form weight normalizer.  One
-kernel (`_terms`) gives l with its gradient and Hessian in
-(mu, ln sigma, delta) from one pass for G, one for B and the closed-form
-derivatives of ln Z; `log_likelihood`, `score`, `hessian` and the ln Z block
-of `fisher_information` are thin wrappers over it, and every derivative is
-validated against finite differences in the test suite.
+kernel gives l with its gradient and Hessian in (mu, ln sigma, delta) for K
+rows at once: `_sums` forms the sums over the data for G and B, and
+`_terms` turns each row's sums and ln Z into l and its derivatives.
+`log_likelihood`, `score`, `hessian` and each fit's result are one-row calls
+of it (`_at`), so each point has one l; every derivative is validated
+against finite differences in the test suite.
 
 delta enters l only through B, which holds no (mu, sigma), and through ln Z.
 So the fit is a profile-likelihood search: the profile
 l_p(delta) = max over (mu, sigma) of l is computed on a grid of delta, and
 each local maximum of the grid (the likelihood can hold several in delta) is
 polished in all three parameters.  One damped Newton, `_newton`, serves
-every fit: it runs rows in lockstep, each evaluation forming G's sums for
-all its rows at once (the row kernel `_g_sums`) and the rest of each row's
-step in one elementwise function (`_row_step`: ln Z, the terms as `_terms`
-assembles them, and the LDL^T solve `_solve`).  It runs 2x2 at fixed delta
-for the profile's grid points, whose delta = 0 row is the Gumbel fit, and
-3x3 for the polish of every maximum.
+every fit, its rows in lockstep: 2x2 at fixed delta for the profile's grid
+points, whose delta = 0 row is the Gumbel fit, and 3x3 for the polish of
+every maximum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import mul
 from typing import NamedTuple
 
@@ -68,7 +67,7 @@ _MAX_ITER, _TOL = 500, 1e-9
 _POLISH_STEPS = 40
 # Two maxima closer than chi2_1(0.95) / 2 in log likelihood leave delta weakly identified.
 _WEAK_GAP = 0.5 * 3.841458820694124
-# Elements per block of the row kernel `_g_sums`: 81 x n temporaries of a
+# Elements per block of the row kernel `_sums`: 81 x n temporaries of a
 # large sample leave the cache, and fresh large arrays cost page faults.
 _CHUNK = 1 << 14
 # Free one 1 MiB block at import.  glibc then raises its dynamic mmap
@@ -187,24 +186,47 @@ def _to_sigma(g, h, sg: float) -> tuple[np.ndarray, np.ndarray]:
     return grad, hess
 
 
-def _b_terms(x: np.ndarray, dl: float) -> tuple[float, float, float]:
-    """B = sum ln(1 + u^2) with u = 1 - delta x, and its first two delta derivatives."""
-    u = 1.0 - dl * x
-    uu = u * u
-    q = 1.0 / (1.0 + uu)
-    return float(np.log1p(uu).sum()), -2.0 * float(x @ (u * q)), 2.0 * float((x * x) @ ((1.0 - uu) * q * q))
+def _sums(x: np.ndarray, mu: np.ndarray, sg: np.ndarray, dl: np.ndarray, parts: int) -> np.ndarray:
+    """The sums over the data that l is built from, for K rows of (mu, sigma, delta), as a (parts, K) array.
 
-
-def _assemble(n: int, sg, t, sums, z_terms, b) -> tuple:
-    """l with its gradient and Hessian in (mu, t = ln sigma[, delta]), elementwise.
-
-    ``sums`` = (sum e, sum w e, sum w^2 e, sum w), ``z_terms`` = (ln Z, its
-    gradient, its Hessian) at (mu, sigma = exp(t), delta) and ``b`` = (B,)
-    with delta held fixed, or B with its two delta derivatives for the
-    delta row and column as well; floats or arrays of rows alike.
+    G's sums of e, w e, w^2 e and w (w = (x - mu)/sigma, e = exp(-w); sum w
+    term by term, as (sum x - n mu)/sigma cancels far from the origin), then
+    with parts = 5 B = sum ln(1 + u^2), u = 1 - delta x, and with parts = 7
+    also B's two delta derivatives.  In blocks of at most _CHUNK elements, so
+    the temporaries stay in cache and memory does not grow with K; each row
+    gets the bits it would get alone.  Overflow in e is the caller's to silence.
     """
-    s0, s1, s2, sw = sums
-    lz, gz, hz = z_terms
+    out = np.zeros((parts, mu.size))
+    add = np.add.reduce  # the bits of .sum(axis=1), at less overhead a call
+    rows, cols = max(1, _CHUNK // x.size), min(x.size, _CHUNK)
+    for i, j in product(range(0, mu.size, rows), range(0, x.size, cols)):
+        r, c = slice(i, i + rows), slice(j, j + cols)
+        xc = x[c]
+        w = (xc - mu[r, None]) / sg[r, None]
+        e = np.exp(-w)
+        we = w * e
+        sums = [add(e, 1), add(we, 1), np.einsum("ij,ij->i", we, w), add(w, 1)]
+        if parts > 4:
+            u = 1.0 - dl[r, None] * xc
+            uu = u * u
+            sums.append(add(np.log1p(uu), 1))
+        if parts > 5:  # one BLAS dot per row, so rows never mix
+            q = 1.0 / (1.0 + uu)
+            sums.append(-2.0 * ((u * q)[:, None] @ xc)[:, 0])
+            sums.append(2.0 * (((1.0 - uu) * q * q)[:, None] @ (xc * xc))[:, 0])
+        out[:, r] += sums
+    return out
+
+
+def _terms(n: int, mu, sg, t, dl, s0, s1, s2, sw, *b) -> tuple:
+    """l with its gradient and Hessian in (mu, t = ln sigma[, delta]) from a row's `_sums`.
+
+    l = B - n ln Z + G with G = -n t - sum w - sum e and ln Z from `_log_z`.
+    With B alone (delta held fixed), only the (mu, t) parts; with B's two
+    delta derivatives, the delta row and column too.  Elementwise: floats or
+    arrays of rows alike, with the same bits.
+    """
+    z, gz, hz = _log_z(mu, sg, dl, 2 if len(b) == 1 else 3)
     h_mt = (s0 - s1 - n) / sg - n * hz[0][1]
     g = [(n - s0) / sg - n * gz[0], sw - s1 - n - n * gz[1]]
     h = [[-s0 / (sg * sg) - n * hz[0][0], h_mt], [h_mt, s1 - sw - s2 - n * hz[1][1]]]
@@ -212,66 +234,30 @@ def _assemble(n: int, sg, t, sums, z_terms, b) -> tuple:
         h_md, h_td = -n * hz[0][2], -n * hz[1][2]
         g.append(b[1] - n * gz[2])
         h = [[*h[0], h_md], [*h[1], h_td], [h_md, h_td, b[2] - n * hz[2][2]]]
-    return b[0] - n * lz - n * t - sw - s0, g, h
+    return b[0] - n * np.log(z) - n * t - sw - s0, g, h
 
 
-def _terms(x: np.ndarray, mu: float, sg: float, dl: float) -> tuple[float, list, list]:
-    """l at (mu, sigma, delta), with its gradient and Hessian in (mu, t = ln sigma, delta).
-
-    l = B(delta) - n ln Z(mu, sigma, delta) + G(mu, sigma), with B from
-    `_b_terms`, ln Z from `_log_z` and G = -n t - sum w - sum e,
-    w = (x - mu)/sigma and e = exp(-w): one exp pass and the sums of w, e,
-    w e and w^2 e.  sum w is added up term by term; (sum x - n mu)/sigma
-    cancels far from the origin.
-    """
-    w = (x - mu) / sg
+def _at(x: np.ndarray, p: BgParams, t: float) -> tuple:
+    """`_terms` with the delta parts at p, t = ln sigma: `_newton`'s kernel for one row, on its float route."""
+    one = [np.array([v]) for v in (p.mu, p.sigma, p.delta)]
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-w)
-        we = w * e
-        sums = float(e.sum()), float(we.sum()), float(we @ w), float(w.sum())
-    z, gz, hz = _log_z(mu, sg, dl)
-    return _assemble(x.size, sg, math.log(sg), sums, (math.log(z), gz, hz), _b_terms(x, dl))
-
-
-def _blocks(n: int, rows: int):
-    """(row, column) slices covering a rows x n array in blocks of at most _CHUNK elements."""
-    r, c = max(1, _CHUNK // n), min(n, _CHUNK)
-    for i in range(0, rows, r):
-        for j in range(0, n, c):
-            yield slice(i, i + r), slice(j, j + c)
-
-
-def _g_sums(x: np.ndarray, mu: np.ndarray, sg: np.ndarray) -> np.ndarray:
-    """The sums of e, w e, w^2 e and w of `_terms` for K rows of (mu, sigma), as a (4, K) array.
-
-    It works in blocks of at most _CHUNK elements, so its temporaries stay in
-    cache and its memory does not grow with K.  Overflow in e is the
-    caller's to silence.
-    """
-    out = np.zeros((4, mu.size))
-    add = np.add.reduce  # the bits of .sum(axis=1), at less overhead a call
-    for r, c in _blocks(x.size, mu.size):
-        w = (x[c] - mu[r, None]) / sg[r, None]
-        e = np.exp(-w)
-        we = w * e
-        out[:, r] += (add(e, 1), add(we, 1), np.einsum("ij,ij->i", we, w), add(w, 1))
-    return out
+        return _terms(x.size, p.mu, p.sigma, t, p.delta, *_sums(x, *one, 7)[:, 0].tolist())
 
 
 def log_likelihood(p: BgParams, data) -> float:
     """Log likelihood; identical to summing the log density over the data."""
-    return _terms(_as_data(data), p.mu, p.sigma, p.delta)[0]
+    return float(_at(_as_data(data), p, math.log(p.sigma))[0])
 
 
 def score(p: BgParams, data) -> np.ndarray:
     """Analytic gradient of the log likelihood, ordered (mu, sigma, delta)."""
-    _, g, h = _terms(_as_data(data), p.mu, p.sigma, p.delta)
+    _, g, h = _at(_as_data(data), p, math.log(p.sigma))
     return _to_sigma(g, h, p.sigma)[0]
 
 
 def hessian(p: BgParams, data) -> np.ndarray:
     """Analytic Hessian of the log likelihood (symmetric 3x3)."""
-    _, g, h = _terms(_as_data(data), p.mu, p.sigma, p.delta)
+    _, g, h = _at(_as_data(data), p, math.log(p.sigma))
     return _to_sigma(g, h, p.sigma)[1]
 
 
@@ -400,18 +386,17 @@ def _solve(h, g) -> tuple[list, object]:
     return y, ok
 
 
-def _row_step(n: int, k: int, mu, sg, t, dl, *sums_b) -> list:
+def _row_step(n: int, *row) -> list:
     """One Newton point of a row: [l, gradient size, pivots ok, promised gain, step y].
 
-    ``sums_b`` holds the sums of `_g_sums` and B with, when k = 3, its two
-    delta derivatives.  The gradient size is the largest gradient entry in
+    ``row`` is the row's (mu, sigma, t, delta) and `_sums`, as `_terms`
+    takes them.  The gradient size is the largest gradient entry in
     (mu, t[, delta]), the mu entry times sigma; the gain is g . y.
     Elementwise: floats or arrays of rows alike.
     """
-    z, gz, hz = _log_z(mu, sg, dl, k)
-    value, g, h = _assemble(n, sg, t, sums_b[:4], (np.log(z), gz, hz), sums_b[4:])
+    value, g, h = _terms(n, *row)
     y, ok = _solve(h, g)
-    size = abs(g[0]) * sg
+    size = abs(g[0]) * row[1]
     for gi in g[1:]:
         size = _maximum(size, abs(gi))
     return [value, size, ok, sum(map(mul, g, y)), *y]
@@ -420,36 +405,35 @@ def _row_step(n: int, k: int, mu, sg, t, dl, *sums_b) -> list:
 def _newton(x: np.ndarray, starts, k: int, max_steps: int, tol: float) -> tuple[list, list, list]:
     """Maximise l by damped Newton from ``starts``, K rows of (mu, t = ln sigma, delta), in lockstep.
 
-    With k = 2 each row's delta is held fixed and its B formed once, and the
-    step is in (mu, t); with k = 3 the step moves delta too, and each
-    evaluation takes B with its two delta derivatives from `_b_terms`, row by
-    row.  Each evaluation serves all the rows that need one: G's sums from
-    the row kernel `_g_sums`, the rest from `_row_step`, on arrays of rows
-    or, for at most _FEW rows, on floats (the bits agree).  Each row's step
-    is halved until l does not fall by more than rounding.  A row stops once
-    its gradient per observation, the mu part times sigma, is at most
-    ``tol`` (with ``tol`` = 0, never), after a step that gains, or whose
-    quadratic model promises, no more than rounding, or after
-    ``max_steps``.  Rows never mix: each row's result is what it would be
-    alone.  Returns per row [mu, t, delta], l there and the steps taken.
+    With k = 2 each row's delta is held fixed, its B formed once, and the
+    step is in (mu, t); with k = 3 the step moves delta too.  Each
+    evaluation serves all the rows that need one: their sums from one
+    `_sums` call, then `_row_step` on arrays of rows or, for at most _FEW
+    rows, on floats (the bits agree).  Each row's step is halved until l
+    does not fall by more than rounding.  A row stops once its gradient per
+    observation, the mu part times sigma, is at most ``tol`` (with
+    ``tol`` = 0, never), after a step that gains, or whose quadratic model
+    promises, no more than rounding, or after ``max_steps``.  Rows never
+    mix: each row's result is what it would be alone.  Returns per row
+    [mu, t, delta], l there and the steps taken.
     """
     n = x.size
     floor = _ROUNDING * n
     pts = np.array(starts, dtype=float).reshape(-1, 3)
-    if k == 2:  # B once per row, in blocks as in `_g_sums`
-        b = np.zeros(len(pts))
-        for r, c in _blocks(n, b.size):
-            u = 1.0 - pts[r, 2, None] * x[c]
-            b[r] += np.log1p(u * u).sum(axis=1)
+    b = None  # with k = 2, each row's B, from the first evaluation
 
     def evaluate(rows, pts):  # `_row_step` at the points (R, 3) of these rows, a list per row
+        nonlocal b
         mu, t, dl = pts.T
         sg = np.exp(t)
-        b_r = b[rows, None] if k == 2 else np.array([_b_terms(x, d) for d in dl.tolist()])
-        cols = [mu, sg, t, dl, *_g_sums(x, mu, sg), *b_r.T]
+        sums = _sums(x, mu, sg, dl, 7 if k == 3 else 5 if b is None else 4)
+        if k == 2:
+            b = sums[4] if b is None else b
+            sums = [*sums[:4], b[rows]]
+        cols = [mu, sg, t, dl, *sums]
         if mu.size > _FEW:
-            return np.array(_row_step(n, k, *cols), dtype=float).T.tolist()
-        return [_row_step(n, k, *row) for row in zip(*(c.tolist() for c in cols))]
+            return np.array(_row_step(n, *cols), dtype=float).T.tolist()
+        return [_row_step(n, *row) for row in zip(*(c.tolist() for c in cols))]
 
     state = pts.tolist()
     steps = [0] * len(state)
@@ -488,8 +472,17 @@ def _newton(x: np.ndarray, starts, k: int, max_steps: int, tol: float) -> tuple[
     return state, [float(c[0]) for c in cur], steps
 
 
-def _finish(p: BgParams, x: np.ndarray, iters: int, fix_delta: bool) -> FitResult:
-    ll, g, h = _terms(x, p.mu, p.sigma, p.delta)
+def _params(row) -> BgParams:
+    """The parameters at a row (mu, t = ln sigma, delta), with sigma = exp(t) formed as `_newton` forms it."""
+    mu, t, dl = row
+    return BgParams(mu, float(np.exp(t)), dl)
+
+
+def _finish(x: np.ndarray, row, iters: int, fix_delta: bool) -> FitResult:
+    """The fit at a row (mu, t = ln sigma, delta): t itself, since ln(exp t) need not round back to it."""
+    p = _params(row)
+    value, g, h = _at(x, p, row[1])
+    ll = float(value)
     sc, hs = _to_sigma(g, h, p.sigma)
     if fix_delta:
         sc[2] = 0.0
@@ -561,35 +554,34 @@ def fit_mle(data) -> FitResult:
         if (k == 0 or profile[k] > profile[k - 1]) and (k == last or profile[k] >= profile[k + 1])
     ] or [_GRID_HALF]
     edges = [k in (0, last) for k in peaks]
-    pts, _, polish = _newton(x, [rows[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
+    pts, lls, polish = _newton(x, [rows[k] for k in peaks], 3, _POLISH_STEPS, 0.0)
 
-    maxima: list[LocalMaximum] = []
-    for (mu, t, dl), edge in zip(pts, edges):
-        p = BgParams(mu, math.exp(t), dl)
-        for i, m in enumerate(maxima):
+    found: list[tuple[LocalMaximum, list]] = []  # each distinct maximum with its row
+    for row, ll, edge in zip(pts, lls, edges):
+        p = _params(row)
+        for i, (m, r) in enumerate(found):
             if _same_point(m.params, p):
-                maxima[i] = m._replace(at_grid_edge=m.at_grid_edge and edge)
+                found[i] = m._replace(at_grid_edge=m.at_grid_edge and edge), r
                 break
         else:
-            # l from `_terms`, as `_finish` takes it, so the fit's l is the top maximum's.
-            maxima.append(LocalMaximum(p, _terms(x, mu, p.sigma, dl)[0], edge))
-    maxima.sort(key=lambda m: -m.log_likelihood)
+            found.append((LocalMaximum(p, ll, edge), row))
+    found.sort(key=lambda f: -f[0].log_likelihood)
+    maxima = [m for m, _ in found]
 
     top = maxima[0].log_likelihood
     best = min(
-        (m for m in maxima if m.log_likelihood >= top - _TIE_TOL * x.size),
-        key=lambda m: abs(m.params.delta),
+        (f for f in found if f[0].log_likelihood >= top - _TIE_TOL * x.size),
+        key=lambda f: abs(f[0].params.delta),
     )
-    mu, t, _ = rows[_GRID_HALF]  # delta = 0: the Gumbel fit
     diagnostics = FitDiagnostics(
         delta_grid=tuple(grid.tolist()),
         profile_loglik=tuple(profile),
         maxima=tuple(maxima),
         inner_steps=inner,
         weakly_identified=len(maxima) > 1 and top - maxima[1].log_likelihood < _WEAK_GAP,
-        gumbel=_finish(BgParams(mu, math.exp(t), 0.0), x, steps[_GRID_HALF], fix_delta=True),
+        gumbel=_finish(x, rows[_GRID_HALF], steps[_GRID_HALF], fix_delta=True),  # delta = 0
     )
-    return replace(_finish(best.params, x, inner + sum(polish), fix_delta=False), diagnostics=diagnostics)
+    return replace(_finish(x, best[1], inner + sum(polish), fix_delta=False), diagnostics=diagnostics)
 
 
 def _same_point(a: BgParams, b: BgParams) -> bool:
@@ -608,5 +600,4 @@ def fit_gumbel_mle(data) -> FitResult:
     x = _fit_data(data)
     mu, sg = _gumbel_moment_init(x)
     pts, _, steps = _newton(x, [(mu, math.log(sg), 0.0)], 2, _MAX_ITER, _TOL)
-    mu, t, _ = pts[0]
-    return _finish(BgParams(mu, math.exp(t), 0.0), x, steps[0], fix_delta=True)
+    return _finish(x, pts[0], steps[0], fix_delta=True)

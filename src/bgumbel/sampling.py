@@ -4,12 +4,11 @@ Two generators are provided:
 
 * :func:`mh_sample` - a random-walk Metropolis sampler targeting the BG log
   density.  This works for every valid parameter triple.
-* :func:`representation_sample` - i.i.d. draws from the three-part
-  weighted-Gumbel mixture p1 F0 + p2 F1 + p3 F2, valid in the regime
-  delta * (mu + sigma * gamma) < 0 where all three probabilities are
-  nonnegative.  The middle component's weight changes sign, so the parts
-  cannot be inverted one at a time; the assembled mixture, which is the BG
-  distribution function, is inverted by one cubic Hermite table.
+* :func:`representation_sample` - exact i.i.d. draws for every valid
+  parameter triple.  The BG distribution function is the weighted-Gumbel
+  mixture p1 F0 + p2 F1 + p3 F2, whose middle weight changes sign, so the
+  parts cannot be inverted one at a time; the assembled function is
+  inverted by one cubic Hermite table, whatever the signs of p1, p2, p3.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); the seed is part
 of the public contract and identical seeds give bit-identical output.
@@ -23,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distribution import BgParams, _bg_weight, _bracket, _shares, bg_moment_set, bg_pdf, normalizer
-from .errors import RegimeError
-from .special import CONSTANTS
+from .distribution import BgParams, _bg_weight, _bracket, _log_density, bg_moment_set, normalizer
+from .special import log_weight_shares
 
 __all__ = [
     "McmcConfig",
@@ -37,7 +35,6 @@ __all__ = [
     "save_draws_csv",
 ]
 
-_EG = CONSTANTS.euler_gamma
 _ACCEPTANCE_BAND = (0.1, 0.6)
 _BLOCK = 4096  # Metropolis iterations per block of Python floats
 
@@ -166,8 +163,9 @@ def _inverse_cdf(p: BgParams, u: np.ndarray) -> np.ndarray:
     (4.5e-6 at delta = -65); u beyond the table is clipped to its ends.
     """
     xs = np.linspace(*_bracket(p, 1e-12, 1.0 - 1e-12), 2305)
-    cdf, sf = _shares(p, _bg_weight(p), xs)
-    dens = bg_pdf(p, xs)
+    log_dens, z = _log_density(p, xs)  # z = exp(-(x - mu)/sigma) serves F and S, as in `hazard`
+    cdf, sf = log_weight_shares(_bg_weight(p), z)
+    dens = np.exp(log_dens)
     keep = (cdf > 0.0) & (sf > 0.0) & (dens > 0.0)  # no log of 0 below
     xs, cdf, sf, dens = xs[keep], cdf[keep], sf[keep], dens[keep]
     neg_log_cdf = -np.log(cdf)
@@ -189,23 +187,16 @@ def _inverse_cdf(p: BgParams, u: np.ndarray) -> np.ndarray:
 
 
 def representation_sample(p: BgParams, n: int, seed: int) -> np.ndarray:
-    """Exact i.i.d. draws from the weighted-Gumbel mixture representation.
+    """Exact i.i.d. draws from the mixture representation, for every parameter triple.
 
-    Requires delta * (mu + sigma * gamma) < 0, the regime in which the
-    mixture probabilities (p1, p2, p3) are all nonnegative.  Uniform variates
-    are pushed through the inverse of the mixture distribution function
-    p1 F0 + p2 F1 + p3 F2, interpolated from one table (see
-    :func:`_inverse_cdf` for its accuracy).
+    Uniform variates are pushed through the inverse of the distribution
+    function p1 F0 + p2 F1 + p3 F2, interpolated from one table (see
+    :func:`_inverse_cdf` for its accuracy).  The table inverts F itself, so
+    the probabilities need not all be nonnegative, as they are only where
+    delta * (mu + sigma * gamma) < 0.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    m = p.mu + p.sigma * _EG
-    if not p.delta * m < 0.0:
-        raise RegimeError(
-            "representation sampling requires delta * (mu + sigma * euler_gamma) < 0 "
-            f"(got delta={p.delta}, mu + sigma*gamma={m}); "
-            "use mh_sample for parameters outside this regime"
-        )
     return _inverse_cdf(p, np.random.default_rng(seed).uniform(size=n))
 
 

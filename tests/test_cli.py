@@ -147,11 +147,13 @@ class TestSample:
         assert manifest["seed"] == 3
         assert "acceptance_rate" in manifest
 
-    def test_regime_error_exit_code(self, tmp_path):
-        code = run(["sample", "--mu", "1", "--sigma", "1", "--delta", "1",
+    def test_representation_outside_mixture_regime(self, tmp_path):
+        # delta * (mu + sigma * gamma) > 0, outside the mixture's regime: still n draws.
+        out = tmp_path / "x.csv"
+        assert run(["sample", "--mu", "1", "--sigma", "1", "--delta", "1",
                     "--n", "10", "--seed", "0", "--method", "representation",
-                    "-o", str(tmp_path / "x.csv")])
-        assert code == EXIT_NUMERIC
+                    "-o", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 11
 
     def test_mh_draw_count(self, tmp_path):
         out = tmp_path / "mh.csv"

@@ -399,12 +399,20 @@ class TestFitMle:
         assert grid.size == 81 and grid[40] == 0.0
         assert np.all(np.diff(grid) > 0)
         np.testing.assert_array_equal(grid, -grid[::-1])
-        assert diag.profile_loglik[40] == pytest.approx(
-            fit_gumbel_mle(maxima29).log_likelihood, rel=1e-12
-        )
+        assert diag.profile_loglik[40] == fit_gumbel_mle(maxima29).log_likelihood
         assert diag.inner_steps > 0
         # The delta = 0 row is the Gumbel fit, bit for bit.
         assert diag.gumbel == fit_gumbel_mle(maxima29)
+
+    def test_one_point_has_one_log_likelihood(self):
+        # The profile's delta = 0 value, the Gumbel fit's l and the fit's l
+        # against its top maximum: each is one row of one kernel, so the
+        # same float.  On these draws a second kernel's l sat 5.7e-14 off
+        # the profile's.
+        fit = fit_mle(np.random.default_rng(0).gumbel(0.0, 1.0, 300))
+        diag = fit.diagnostics
+        assert diag.profile_loglik[40] == diag.gumbel.log_likelihood
+        assert fit.log_likelihood == diag.maxima[0].log_likelihood
 
     @pytest.mark.parametrize("blocks", [None, 60])
     def test_grid_edge_maximum_stays_finite(self, series1774, blocks):
@@ -467,7 +475,9 @@ class TestFitMle:
     def test_profile_matches_scalar_newton(self, request, series1774, data):
         # The oracle is a scalar fixed-delta Newton written here, on the
         # public log_likelihood, score and hessian, started at every grid
-        # delta from the Gumbel fit; none of the lockstep profile runs in it.
+        # delta from the Gumbel fit.  Those share the sums kernel with the
+        # profile, but not its Newton (`_newton`); the kernel's values have
+        # their own oracles (the bg_log_pdf sum, mpmath, finite differences).
         x = _test_data(request, series1774, data)
         diag = fit_mle(x).diagnostics
         g = fit_gumbel_mle(x).params

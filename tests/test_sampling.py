@@ -11,7 +11,6 @@ from bgumbel import (
     BgParams,
     Chain,
     McmcConfig,
-    RegimeError,
     bg_cdf,
     bg_moment_set,
     bg_sf,
@@ -111,10 +110,6 @@ class TestMhSample:
 
 
 class TestRepresentationSample:
-    def test_regime_error(self):
-        with pytest.raises(RegimeError):
-            representation_sample(BgParams(1, 1, 1), 100, seed=0)
-
     def test_determinism(self):
         a = representation_sample(REGIME, 1000, seed=9)
         b = representation_sample(REGIME, 1000, seed=9)
@@ -128,6 +123,15 @@ class TestRepresentationSample:
     def test_large_sample_matches_cdf(self):
         draws = representation_sample(REGIME, 10**6, seed=5)
         cdf = cdf_interpolator(REGIME)
+        srt = np.sort(draws)
+        assert ks_distance_to_cdf(srt, np.asarray(cdf(srt))) < 0.002
+
+    def test_large_sample_matches_cdf_outside_regime(self):
+        # delta * (mu + sigma * gamma) > 0: the mixture's probabilities are
+        # not all nonnegative, but the table inverts F itself.
+        p = BgParams(1, 1, 2)
+        draws = representation_sample(p, 10**6, seed=6)
+        cdf = cdf_interpolator(p)
         srt = np.sort(draws)
         assert ks_distance_to_cdf(srt, np.asarray(cdf(srt))) < 0.002
 

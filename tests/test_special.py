@@ -315,6 +315,15 @@ class TestRoots:
             want = mp.findroot(g, mp.mpf(-2.06e-4))
             assert float(abs(got - want) / abs(want)) < 1e-12
         assert got == pytest.approx(-2.06e-4, rel=1e-12)
+        # On g's own floats: within find_modes' tolerance of the reported
+        # root, g changes sign (or is 0 at it), wherever Brent's last step lands.
+        p = BgParams(mu, sg, dl)
+        tol = np.finfo(float).eps * sg / 16.0 + 8.9e-16 * abs(got)
+        ulp = np.spacing(abs(got))  # one binade holds the band
+        band = got + ulp * np.arange(-math.floor(tol / ulp), math.floor(tol / ulp) + 1)
+        g_band = [shape.critical_function_g(p, x) for x in band.tolist()]
+        g_root = shape.critical_function_g(p, got)
+        assert g_root == 0.0 or any(v * g_root < 0.0 for v in g_band)
 
     def test_brent_port_errors(self):
         with pytest.raises(ValueError, match="different signs"):
