@@ -12,8 +12,9 @@ fit       Fit BG and/or Gumbel models to a CSV series, optionally reducing
           to block maxima and centering, with a Ljung-Box serial-dependence
           screen and a KS/AIC/BIC report.
 
-Exit codes: 0 success, 2 usage or input errors, 3 numeric failure,
-4 fit non-convergence (a partial report is still written).
+Exit codes: 0 success, 2 usage or input errors or an output that cannot be
+written, 3 numeric failure, 4 fit non-convergence (a partial report is
+still written).
 
 Every output file is accompanied (CSV) or embedded (JSON) with a run
 manifest: command, resolved arguments, seed, tool version and timestamp.
@@ -38,9 +39,8 @@ import numpy as np
 from . import __version__
 from .distribution import BgParams, bg_cdf, bg_moment_set, bg_pdf
 from .errors import BGumbelError
-from .inference import FitResult
+from .inference import FitResult, fit_gumbel_mle, fit_mle
 from .model_selection import (
-    _MODELS,
     BlockMaximaConfig,
     _gof_for_fit,
     block_maxima,
@@ -356,7 +356,7 @@ def _cmd_fit(args) -> int:
         if any(not f.converged for f in fits):
             exit_code = EXIT_NO_CONVERGENCE
     else:
-        fit = _MODELS[args.model][0](data)
+        fit = fit_mle(data) if args.model == "bg" else fit_gumbel_mle(data)
         models[args.model] = _fit_payload(fit, _gof_for_fit(fit, data, args.model))
         if not fit.converged:
             exit_code = EXIT_NO_CONVERGENCE
@@ -453,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BGumbelError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UsageError, argparse.ArgumentTypeError, ValueError) as exc:
+    except (UsageError, argparse.ArgumentTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightError
-from .special import _LN_MAX, CONSTANTS, _exp, _log_poly_gamma, log_weight_shares
+from .special import CONSTANTS, _exp, _log_poly_gamma, log_weight_shares
 
 __all__ = [
     "BgParams",
@@ -52,6 +52,7 @@ __all__ = [
 
 _EG = CONSTANTS.euler_gamma
 _PI = CONSTANTS.pi
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,9 @@ def normalizer(p: BgParams) -> float:
 # ----------------------------------------------------------------------
 
 def gumbel_log_pdf(p: GumbelParams, x: float | np.ndarray) -> float | np.ndarray:
-    w = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        out = -w - np.exp(-w) - math.log(p.sigma)
+    # w floored at -max: at x = -inf, -w - e^-w is then -inf, not inf - inf.
+    w = np.maximum((np.asarray(x, dtype=float) - p.mu) / p.sigma, -_FLOAT_MAX)
+    out = -w - _exp(-w) - math.log(p.sigma)
     return out if out.ndim else float(out)
 
 
@@ -139,8 +140,7 @@ def gumbel_pdf(p: GumbelParams, x: float | np.ndarray) -> float | np.ndarray:
 
 def gumbel_cdf(p: GumbelParams, x: float | np.ndarray) -> float | np.ndarray:
     w = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    with np.errstate(over="ignore"):
-        out = np.exp(-np.exp(-w))
+    out = np.exp(-_exp(-w))
     return out if out.ndim else float(out)
 
 
@@ -229,12 +229,7 @@ def _shares(
     variable Y, so the upper share is a distribution function and the lower
     one its survival function.
     """
-    x = _float_or_array(x)
-    neg_w = (p.mu - x) / p.sigma
-    if type(x) is float:
-        return log_weight_shares(q, _exp(neg_w))
-    # Capped below overflow, without a warning: the kernel takes every z >= 800 as inf.
-    return log_weight_shares(q, np.exp(np.minimum(neg_w, _LN_MAX)))
+    return log_weight_shares(q, _exp((p.mu - _float_or_array(x)) / p.sigma))
 
 
 def _bg_weight(p: BgParams) -> tuple[float, float, float]:
@@ -397,8 +392,7 @@ def _exp_moment_raw(p: BgParams, m: int, t: float) -> float:
     the product, not a factor, is above the float range.
     """
     a = 1.0 - p.sigma * t
-    with np.errstate(over="ignore"):
-        scale = np.exp(t * p.mu + math.lgamma(a))
+    scale = _exp(t * p.mu + math.lgamma(a))
     return float(scale * _expectation(p)(_linear_powers(p.mu, -p.sigma, m)[-1], a))
 
 

@@ -32,13 +32,7 @@ __all__ = [
     "read_series_csv",
 ]
 
-# Fitter and parameter count of each model.  The fitters are looked up when
-# called, so a rebinding of the module names (as the benchmark's span tracer
-# does) reaches them.
-_MODELS = {
-    "bg": (lambda x: fit_mle(x), 3),
-    "gumbel": (lambda x: fit_gumbel_mle(x), 2),
-}
+_N_PARAMS = {"bg": 3, "gumbel": 2}
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ def _gof_for_fit(fit: FitResult, data: np.ndarray, model_name: str) -> GofReport
     else:
         f = bg_cdf(fit.params, x)
     stat, p = _ks_statistic(f)
-    aic, bic = information_criteria(fit.log_likelihood, _MODELS[model_name][1], data.size)
+    aic, bic = information_criteria(fit.log_likelihood, _N_PARAMS[model_name], data.size)
     return GofReport(
         model_name=model_name,
         ks_statistic=stat,
@@ -217,9 +211,12 @@ def compare_models(data) -> ModelComparison:
     results: dict[str, GofReport] = {}
     fits: dict[str, FitResult] = {}
     failures: dict[str, Exception] = {}
-    for name, (fitter, _) in _MODELS.items():
+    for name in _N_PARAMS:
         try:
-            fits[name] = fits["bg"].diagnostics.gumbel if name == "gumbel" and "bg" in fits else fitter(x)
+            if name == "bg":
+                fits[name] = fit_mle(x)
+            else:
+                fits[name] = fits["bg"].diagnostics.gumbel if "bg" in fits else fit_gumbel_mle(x)
             results[name] = _gof_for_fit(fits[name], x, name)
         except Exception as exc:  # noqa: BLE001 - per-model isolation is the contract
             failures[name] = exc
@@ -228,7 +225,7 @@ def compare_models(data) -> ModelComparison:
 
     preferred = min(
         results,
-        key=lambda name: (results[name].aic, results[name].bic, _MODELS[name][1]),
+        key=lambda name: (results[name].aic, results[name].bic, _N_PARAMS[name]),
     )
     return ModelComparison(
         bg=results.get("bg"),
@@ -244,10 +241,11 @@ def read_series_csv(path: str | Path) -> np.ndarray:
     """Read a single-column numeric CSV; a non-numeric first line is a header.
 
     Non-numeric values on later lines and non-finite values (``nan``,
-    ``inf``) on any line raise ValueError.
+    ``inf``) on any line raise ValueError.  A leading UTF-8 byte-order mark
+    is dropped, so it never turns a first value into a header.
     """
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh):
             token = raw.strip().split(",")[0].strip()
             if not token:

@@ -106,16 +106,10 @@ def check_condition_c(p: BgParams) -> ConditionCReport:
     def ratio(u: float) -> float:
         return 2.0 * dl * u / (u * u + 1.0)
 
-    def exp(t: float) -> float:  # math.exp, but inf where it overflows
-        try:
-            return math.exp(t)
-        except OverflowError:
-            return math.inf
-
-    c1 = dl > max(1.0, (exp(mu / sg) - 1.0) / sg)
-    c2 = ratio(1.0 + dl) < (exp((1.0 + mu) / sg) - 1.0) / sg
-    c3 = ratio(1.0 - 2.0 * dl) < (exp(-(2.0 - mu) / sg) - 1.0) / sg
-    c4 = ratio(1.0 - 3.0 * dl) > (exp(-(3.0 - mu) / sg) - 1.0) / sg
+    c1 = dl > max(1.0, (_exp(mu / sg) - 1.0) / sg)
+    c2 = ratio(1.0 + dl) < (_exp((1.0 + mu) / sg) - 1.0) / sg
+    c3 = ratio(1.0 - 2.0 * dl) < (_exp(-(2.0 - mu) / sg) - 1.0) / sg
+    c4 = ratio(1.0 - 3.0 * dl) > (_exp(-(3.0 - mu) / sg) - 1.0) / sg
     return ConditionCReport(c1 and c2 and c3 and c4, c1, c2, c3, c4)
 
 
@@ -201,7 +195,7 @@ def find_modes(p: BgParams) -> ShapeReport:
     antimode = roots[1][0] if len(roots) == 3 else None
 
     creport = check_condition_c(p)
-    dint = d_interval(p) if creport.holds else None
+    dint = _crossings(p, 1) if creport.holds else None
     r2_in_d = bool(
         antimode is not None and dint is not None and dint[0] < antimode < dint[1]
     )

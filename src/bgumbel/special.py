@@ -155,9 +155,18 @@ def _sorted_unique(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
-def _exp(t: float) -> float:
-    """np.exp(t) as a float, with its bits, and inf where it overflows, without a warning."""
-    return float(np.exp(t)) if not t > _LN_MAX else math.inf
+def _exp(t: float | np.ndarray) -> float | np.ndarray:
+    """np.exp(t), with its bits, and inf where it overflows, without a warning.
+
+    The package's one rule for e^t.  A Python float gives a float, by one
+    comparison with ``_LN_MAX``, so a scalar caller such as each of Brent's
+    steps pays no ``np.errstate``; anything else (an array, a 0-d array, a
+    numpy scalar) gives what ``np.exp`` gives.
+    """
+    if type(t) is float:
+        return float(np.exp(t)) if not t > _LN_MAX else math.inf
+    with np.errstate(over="ignore"):
+        return np.exp(t)
 
 
 @functools.lru_cache(maxsize=_PLANS)

@@ -127,6 +127,14 @@ class TestEval:
         assert run(["eval", "--mu", "0", "--sigma", "-1", "--delta", "0",
                     "--what", "moments"]) == EXIT_USAGE
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        # The output's parent is a file: exit 2 with an error line, not a traceback.
+        parent = tmp_path / "c.csv"
+        parent.write_text("1.0\n")
+        assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "0", "--what", "cdf",
+                    "--at", "0", "-o", str(parent / "sub" / "out.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSample:
     def test_deterministic_output_files(self, tmp_path):

@@ -24,6 +24,7 @@ from bgumbel import (
     normalizer,
     weighted_gumbel_cdf,
 )
+from bgumbel.distribution import gumbel_log_pdf
 from helpers import quad_cdf, random_params
 
 EG = CONSTANTS.euler_gamma
@@ -112,6 +113,17 @@ class TestPdf:
         for x in (-3.0, 0.5, 1.0 / 2.0, 10.0):
             assert bg_pdf(p, x) > 0
 
+    def test_gumbel_density_in_the_left_tail(self):
+        # At x = -inf, -w - e^-w is -inf, not inf - inf (a nan and a warning);
+        # at w = -800, e^-w overflows.
+        gp = GumbelParams(0.5, 2.0)
+        assert gumbel_pdf(gp, -math.inf) == 0.0 == bg_pdf(BgParams(0.5, 2.0, 0.0), -math.inf)
+        for x in (-math.inf, 0.5 - 800.0 * 2.0):
+            assert gumbel_log_pdf(gp, x) == -math.inf
+        xs = np.array([-math.inf, 0.5 - 800.0 * 2.0, 0.5, math.inf])
+        np.testing.assert_array_equal(gumbel_pdf(gp, xs), [0.0, 0.0, gumbel_pdf(gp, 0.5), 0.0])
+        np.testing.assert_array_equal(gumbel_log_pdf(gp, xs), [-math.inf, -math.inf, math.log(0.5) - 1.0, -math.inf])
+
 
 class TestLogPdf:
     def test_exp_matches_pdf(self):
@@ -196,10 +208,11 @@ class TestGumbelPpf:
 class TestWeightedGumbelCdf:
     def test_order_zero_is_gumbel(self):
         gp = GumbelParams(-1, 2)
-        for x in (-4.0, 0.0, 3.0):
+        for x in (-1601.0, -4.0, 0.0, 3.0):  # e^-w overflows at x = mu - 800 sigma
             assert weighted_gumbel_cdf(gp, 0, x) == pytest.approx(
                 float(gumbel_cdf(gp, x)), rel=1e-13
             )
+        assert gumbel_cdf(gp, -1601.0) == 0.0 == gumbel_cdf(gp, np.array([-1601.0]))[0]
 
     def test_degenerate_weight(self):
         gp = GumbelParams(-2 * EG, 2.0)  # E[Y] = -2g + 2g = 0

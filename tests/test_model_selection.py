@@ -274,6 +274,15 @@ class TestReadSeriesCsv:
         np.testing.assert_array_equal(read_series_csv(f1), [1.5, 2.5])
         np.testing.assert_array_equal(read_series_csv(f2), [1.5, 2.5])
 
+    def test_byte_order_mark(self, tmp_path):
+        # A UTF-8 BOM must not turn the first value into a header.
+        f1 = tmp_path / "bom.csv"
+        f1.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        f2 = tmp_path / "bom_header.csv"
+        f2.write_bytes(b"\xef\xbb\xbfvalue\n2.5\n3.5\n")
+        np.testing.assert_array_equal(read_series_csv(f1), [1.5, 2.5, 3.5])
+        np.testing.assert_array_equal(read_series_csv(f2), [2.5, 3.5])
+
     def test_bad_value_reported_with_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("x\n1.0\noops\n")

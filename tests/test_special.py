@@ -15,9 +15,11 @@ from bgumbel import (
 )
 from bgumbel import BgParams, d_interval, find_modes, shape
 from bgumbel.special import (
+    _LN_MAX,
     _PLANS,
     _brentq,
     _chi2_sf,
+    _exp,
     _kolmogorov_sf,
     _log_poly_gamma,
     _plan,
@@ -38,6 +40,19 @@ class TestConstants:
         assert abs(CONSTANTS.zeta3 - float(mp.zeta(3))) < 1e-16
         assert abs(CONSTANTS.zeta5 - float(mp.zeta(5))) < 1e-16
         assert CONSTANTS.pi == math.pi
+
+
+class TestExp:
+    def test_numpy_bits_and_inf_without_a_warning(self):
+        t = np.array([-800.0, -1.0, 0.0, 0.5, 709.78, _LN_MAX, np.nextafter(_LN_MAX, 1e3), 1e300, np.inf])
+        with np.errstate(over="ignore"):
+            ref = np.exp(t)
+        assert ref[-3:].tolist() == [math.inf] * 3
+        np.testing.assert_array_equal(_exp(t), ref)
+        assert [_exp(v) for v in t.tolist()] == ref.tolist()
+        assert all(type(_exp(v)) is float for v in t.tolist())
+        assert _exp(np.float64(800.0)) == math.inf
+        assert _exp(np.array(800.0)).ndim == 0
 
 
 class TestIncompleteLogMoment:
