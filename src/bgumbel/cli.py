@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -132,8 +133,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 2 or not hi > lo:
-        raise argparse.ArgumentTypeError("grid requires hi > lo and n >= 2")
+    if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise argparse.ArgumentTypeError("grid requires finite lo < hi and n >= 2")
     return np.linspace(lo, hi, n)
 
 

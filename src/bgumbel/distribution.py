@@ -365,19 +365,22 @@ def bg_moment_set(p: BgParams) -> MomentSet:
     taken about the mean directly, never from raw moments:
     X - E[X] = d - sigma ln V with d = mu - E[X] = sigma E[ln V], so
     E[(X - E[X])^n] is the expectation of (d - sigma ln V)^n.  This holds
-    for any |mu| / sigma.
+    for any |mu| / sigma.  Skewness and kurtosis do not depend on sigma, so
+    they come from the central moments of (X - E[X]) / sigma = s - ln V,
+    s = E[ln V], and stay finite where a power of the variance underflows.
     """
     expect = _expectation(p)
     d = expect((0.0, p.sigma))
     mean, second_raw, third_raw = (expect(c) for c in _linear_powers(p.mu, -p.sigma, 3)[1:])
-    var, mu3, mu4 = (expect(c) for c in _linear_powers(d, -p.sigma, 4)[2:])
+    var = expect(_linear_powers(d, -p.sigma, 2)[-1])
+    unit_var, mu3, mu4 = (expect(c) for c in _linear_powers(expect((0.0, 1.0)), -1.0, 4)[2:])
     return MomentSet(
         mean=mean,
         second_raw=second_raw,
         third_raw=third_raw,
         variance=var,
-        skewness=mu3 / var**1.5,
-        kurtosis=mu4 / var**2,
+        skewness=mu3 / unit_var**1.5,
+        kurtosis=mu4 / unit_var**2,
     )
 
 
@@ -385,42 +388,27 @@ def bg_moment_set(p: BgParams) -> MomentSet:
 # Moment generating function and polynomial-weighted exponential moments
 # ----------------------------------------------------------------------
 
-def _exp_moment_raw(p: BgParams, m: int, t: float) -> float:
-    """E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(a-1)], for a = 1 - sigma t > 0.
-
-    exp(t mu) Gamma(a) is taken as one exponential, so it is inf only where
-    the product, not a factor, is above the float range.
-    """
-    a = 1.0 - p.sigma * t
-    scale = _exp(t * p.mu + math.lgamma(a))
-    return float(scale * _expectation(p)(_linear_powers(p.mu, -p.sigma, m)[-1], a))
-
-
 def bg_mgf(p: BgParams, t: float) -> float:
-    """Moment generating function E[exp(tX)].
+    """Moment generating function E[exp(tX)], for t < 1/sigma and every delta.
 
-    Defined for t < 0; when delta = 0 the Gumbel form exp(mu t) Gamma(1 - sigma t)
-    applies on the wider range t < 1/sigma.
+    The m = 0 case of :func:`bg_exp_moment`, which holds its domain.
     """
-    if p.delta == 0.0:
-        if t >= 1.0 / p.sigma:
-            raise ValueError(f"mgf of the Gumbel case requires t < 1/sigma, got t={t}")
-    elif t >= 0.0:
-        raise ValueError(f"mgf requires t < 0, got t={t}")
-    return _exp_moment_raw(p, 0, t)
+    return bg_exp_moment(p, 0, t)
 
 
 def bg_exp_moment(p: BgParams, m: int, t: float) -> float:
-    """Polynomial-weighted exponential moment E[X^m exp(tX)] for m = 0, 1, 2.
+    """Polynomial-weighted exponential moment E[X^m exp(tX)] for m = 0, 1, 2 and t < 1/sigma.
 
-    The stated domain is t < 0 with t <= -m/sigma (the boundary point
-    t = -m/sigma is included; the underlying gamma-derivative representation
-    converges there).  m = 0 coincides with :func:`bg_mgf`.
+    E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(a-1)] with
+    a = 1 - sigma t, which holds for every a > 0 and every delta; a t that
+    rounds a to 0, or a nan t, raises ValueError.  exp(t mu) Gamma(a) is
+    taken as one exponential, so it is inf only where the product, not a
+    factor, is above the float range.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"bg_exp_moment supports m = 0, 1, 2, got {m}")
-    if t >= 0.0 or t > -m / p.sigma:
-        raise ValueError(
-            f"bg_exp_moment requires t < 0 and t <= -m/sigma, got m={m}, t={t}"
-        )
-    return _exp_moment_raw(p, m, t)
+    a = 1.0 - p.sigma * t
+    if not a > 0.0:
+        raise ValueError(f"exponential moments require t < 1/sigma, got t={t}")
+    scale = _exp(t * p.mu + math.lgamma(a))
+    return float(scale * _expectation(p)(_linear_powers(p.mu, -p.sigma, m)[-1], a))

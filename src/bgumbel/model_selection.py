@@ -205,9 +205,6 @@ def compare_models(data) -> ModelComparison:
     is the BG fit's delta = 0 profile row, unless the BG fit failed.
     """
     x = np.asarray(data, dtype=float).ravel()
-    if x.size < 5:
-        raise InsufficientDataError(f"need at least 5 observations, got {x.size}")
-
     results: dict[str, GofReport] = {}
     fits: dict[str, FitResult] = {}
     failures: dict[str, Exception] = {}

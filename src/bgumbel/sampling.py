@@ -45,7 +45,9 @@ class McmcConfig:
 
     ``burn_in`` and ``proposal_scale`` may be left as None to use the
     defaults: 10% of the iterations and 2.4 x the target standard
-    deviation.  Chains start at the location parameter mu.
+    deviation (see :func:`_default_proposal_scale`).  A given
+    ``proposal_scale`` must satisfy 0 < scale < inf; nan and inf raise
+    ValueError.  Chains start at the location parameter mu.
     """
 
     n_iterations: int
@@ -58,8 +60,10 @@ class McmcConfig:
             raise ValueError("n_iterations must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.n_iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_iterations")
-        if self.proposal_scale is not None and self.proposal_scale <= 0:
-            raise ValueError("proposal_scale must be positive")
+        if self.proposal_scale is not None and not 0 < self.proposal_scale < math.inf:
+            raise ValueError(
+                f"proposal_scale must be positive and finite, got {self.proposal_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,11 @@ class ChainSummary:
 
 
 def _default_proposal_scale(p: BgParams) -> float:
+    """2.4 x the standard deviation of the BG law, or sigma where the variance is no positive float.
+
+    That is where the variance underflows to 0 (sigma below about 1e-162),
+    or is inf, or where :func:`bg_moment_set` overflows.
+    """
     try:
         var = bg_moment_set(p).variance
         if math.isfinite(var) and var > 0:

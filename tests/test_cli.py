@@ -127,6 +127,22 @@ class TestEval:
         assert run(["eval", "--mu", "0", "--sigma", "-1", "--delta", "0",
                     "--what", "moments"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0:3", "-inf:inf:3"])
+    def test_non_finite_grid_end_is_usage_error(self, grid, capsys):
+        assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "0",
+                    "--what", "cdf", f"--grid={grid}"]) == EXIT_USAGE
+        assert "grid requires finite lo < hi" in capsys.readouterr().err
+
+    def test_moments_where_variance_underflows(self, capsys):
+        # sigma^2 is below the float range; skewness and kurtosis do not
+        # depend on sigma and are the Gumbel values.
+        assert run(["eval", "--mu", "0", "--sigma", "1e-200", "--delta", "0",
+                    "--what", "moments"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["variance"] == 0.0
+        assert payload["skewness"] == pytest.approx(1.1395470994046487, rel=1e-14)
+        assert payload["kurtosis"] == pytest.approx(5.4, rel=1e-14)
+
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         # The output's parent is a file: exit 2 with an error line, not a traceback.
         parent = tmp_path / "c.csv"
@@ -212,6 +228,19 @@ class TestSample:
             run(argv)
         assert exc.value.code == EXIT_USAGE
         assert "argument --n: must be at least 1" in capsys.readouterr().err
+
+    def test_mh_default_scale_where_variance_underflows(self, tmp_path):
+        # The default proposal scale falls back to sigma where the variance is 0.
+        out = tmp_path / "tiny.csv"
+        assert run(["sample", "--mu", "0", "--sigma", "1e-200", "--delta", "0",
+                    "--n", "3", "--seed", "1", "-o", str(out)]) == EXIT_OK
+        draws = [float(v) for v in out.read_text().splitlines()[1:]]
+        assert len(draws) == 3 and all(abs(v) < 1e-190 for v in draws)
+
+    def test_non_finite_scale_is_usage_error(self, capsys):
+        assert run(["sample", "--mu", "0", "--sigma", "1", "--delta", "0",
+                    "--n", "3", "--scale", "nan"]) == EXIT_USAGE
+        assert "proposal_scale" in capsys.readouterr().err
 
     def test_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BGUMBEL_SEED", "77")
@@ -326,6 +355,14 @@ class TestFit:
         assert run(["fit", str(fixtures_dir / "maxima29.csv"), "--model", "gumbel",
                     option, value]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_four_values_fit_both_models(self, tmp_path, capsys):
+        # Both fitters take 4 observations, and so does --model both.
+        csv = tmp_path / "four.csv"
+        csv.write_text("0.3\n1.1\n1.9\n4.2\n")
+        assert run(["fit", str(csv)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["models"]["bg"]["gof"]["n"] == report["models"]["gumbel"]["gof"]["n"] == 4
 
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["fit", "/nonexistent/file.csv"]) == EXIT_USAGE

@@ -337,6 +337,18 @@ class TestMoments:
         assert ms.skewness == pytest.approx(1.1395470994046487, abs=1e-5)
         assert ms.kurtosis == pytest.approx(27.0 / 5.0, abs=1e-5)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1e-200, 1e-300])
+    def test_shape_moments_where_sigma_squared_underflows(self, sigma):
+        # Skewness and kurtosis do not depend on sigma: at delta = 0 they are
+        # the Gumbel values 12 sqrt(6) zeta(3) / pi^3 and 27/5, with the bits
+        # of sigma = 1, where the variance is below the float range too.
+        ms, unit = bg_moment_set(BgParams(0, sigma, 0)), bg_moment_set(BgParams(0, 1, 0))
+        assert (ms.skewness, ms.kurtosis) == (unit.skewness, unit.kurtosis)
+        assert ms.skewness == pytest.approx(12 * math.sqrt(6) * CONSTANTS.zeta3 / PI**3, rel=1e-14)
+        assert ms.kurtosis == pytest.approx(27.0 / 5.0, rel=1e-14)
+        # The variance itself is still sigma^2 pi^2 / 6, 0.0 where that underflows.
+        assert ms.variance == pytest.approx(sigma * sigma * PI**2 / 6, rel=1e-13, abs=0.0)
+
     def test_central_moments_far_from_origin_match_quadrature(self):
         # Central moments about a mean of ~1000 must not come from raw moments.
         from helpers import quad_expectation
@@ -367,30 +379,73 @@ class TestMgfAndExpMoments:
             0.29227446478400628, rel=1e-12
         )
 
+    @staticmethod
+    def oracle(p, t, m=0):
+        """40-digit mpmath E[X^m exp(tX)] = exp(t mu) sum_j c_j Gamma^(j)(a) / Z, a = 1 - sigma t.
+
+        c holds the coefficients, in s = ln v, of (mu - sigma s)^m q(s), with
+        q(s) the weight (1 - delta x)^2 + 1 at x = mu - sigma s.
+        """
+        import mpmath as mp
+
+        with mp.workdps(40):
+            mu, sg, dl, t = map(mp.mpf, (p.mu, p.sigma, p.delta, t))
+            c = 1 - dl * mu
+            q = [c * c + 1, 2 * c * dl * sg, (dl * sg) ** 2]
+            for _ in range(m):
+                q = [mu * x - sg * y for x, y in zip(q + [0], [0] + q)]
+            z = 1 + (dl * sg * mp.pi) ** 2 / 6 + (dl * mu + dl * sg * mp.euler - 1) ** 2
+            a = 1 - sg * t
+            gamma_sum = sum(qj * mp.diff(mp.gamma, a, j) for j, qj in enumerate(q))
+            return float(mp.exp(t * mu) * gamma_sum / z)
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bg_mgf(BgParams(0, 1, 0.5), 0.0)
+        # t = 0 is inside the domain t < 1/sigma for every delta: E[1] = 1.
+        assert bg_mgf(BgParams(0, 1, 0.5), 0.0) == pytest.approx(
+            self.oracle(BgParams(0, 1, 0.5), 0.0), rel=1e-13
+        )
         with pytest.raises(ValueError):
             bg_mgf(BgParams(0, 1, 0.0), 1.0)
-        # delta = 0 admits 0 <= t < 1/sigma
+        # 0 <= t < 1/sigma is inside the domain
         assert bg_mgf(BgParams(0, 1, 0.0), 0.4) > 0
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, -2.0])
+    def test_domain_is_t_below_one_over_sigma(self, delta):
+        # One rule for both functions and every delta: a = 1 - sigma t > 0.
+        p = BgParams(0.5, 2.0, delta)
+        for t in (0.5, 1.0, math.nan):
+            for m in (0, 1, 2):
+                with pytest.raises(ValueError, match="t < 1/sigma"):
+                    bg_exp_moment(p, m, t)
+            with pytest.raises(ValueError, match="t < 1/sigma"):
+                bg_mgf(p, t)
+        with pytest.raises(ValueError):
+            bg_exp_moment(p, 3, -1.0)
+
+    @pytest.mark.parametrize("p", [
+        BgParams(1, 1, 2), BgParams(0.5, 2, -0.7), BgParams(-2, 1, 1), BgParams(3, 0.3, -4),
+    ])
+    def test_whole_domain_matches_mpmath(self, p):
+        # t from -3/sigma to 0.99/sigma, positive t with delta != 0 included.
+        for k in (-3.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99):
+            t = k / p.sigma
+            for m in (0, 1, 2):
+                assert bg_exp_moment(p, m, t) == pytest.approx(self.oracle(p, t, m), rel=1e-13)
+            assert bg_mgf(p, t) == bg_exp_moment(p, 0, t)
+
+    def test_exp_moment_at_zero_is_the_moment(self):
+        # At t = 0 the scale exp(0 + lgamma(1)) is exactly 1.0.
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            p = random_params(rng)
+            for m in (1, 2):
+                assert bg_exp_moment(p, m, 0.0) == bg_moment(p, m)
 
     def test_no_overflow_of_the_factors(self):
         # exp(t mu) and Gamma(1 - sigma t) overflow alone, not their product;
         # the oracle is 40-digit mpmath, exp(t mu) sum_j q_j Gamma^(j)(a) / Z.
-        import mpmath as mp
-
-        def oracle(p, t):
-            mu, sg, dl = map(mp.mpf, (p.mu, p.sigma, p.delta))
-            c = 1 - dl * mu
-            q = (c * c + 1, 2 * c * dl * sg, (dl * sg) ** 2)
-            z = 1 + (dl * sg * mp.pi) ** 2 / 6 + (dl * mu + dl * sg * mp.euler - 1) ** 2
-            a = 1 - sg * t
-            return mp.exp(t * mu) * sum(qj * mp.diff(mp.gamma, a, j) for j, qj in enumerate(q)) / z
-
-        with mp.workdps(40):
-            for p, t in ((BgParams(3, 1, 0.5), -200.0), (BgParams(0, 1, 0.5), -170.0)):
-                assert bg_mgf(p, t) == pytest.approx(float(oracle(p, t)), rel=1e-12)
+        for p, t in ((BgParams(3, 1, 0.5), -200.0), (BgParams(0, 1, 0.5), -170.0)):
+            assert bg_mgf(p, t) == pytest.approx(self.oracle(p, t), rel=1e-12)
         assert bg_mgf(BgParams(0, 1, 0), -200.0) == math.inf  # the true value overflows
 
     def test_exp_moment_m0_equals_mgf(self):
@@ -414,7 +469,7 @@ class TestMgfAndExpMoments:
 
     def test_mgf_derivative_matches_exp_moment(self):
         p = BgParams(0.5, 2.0, -0.7)
-        t = -0.5  # boundary of the m = 1 domain for sigma = 2
+        t = -0.5  # t = -m/sigma for m = 1, well inside the domain t < 1/sigma = 0.5
         errs = []
         for h in (1e-3, 1e-4, 1e-5):
             fd = (bg_mgf(p, t + h) - bg_mgf(p, t - h)) / (2 * h)
@@ -424,13 +479,12 @@ class TestMgfAndExpMoments:
 
     def test_exp_moment_domain(self):
         p = BgParams(0, 1, 0.5)
-        with pytest.raises(ValueError):
-            bg_exp_moment(p, 1, -0.5)  # above -m/sigma
-        with pytest.raises(ValueError):
-            bg_exp_moment(p, 0, 0.0)
+        # Above -m/sigma and at t = 0, inside the domain t < 1/sigma.
+        assert bg_exp_moment(p, 1, -0.5) == pytest.approx(self.oracle(p, -0.5, 1), rel=1e-13)
+        assert bg_exp_moment(p, 0, 0.0) == pytest.approx(self.oracle(p, 0.0, 0), rel=1e-13)
         with pytest.raises(ValueError):
             bg_exp_moment(p, 3, -10.0)
-        assert math.isfinite(bg_exp_moment(p, 1, -1.0))  # boundary included
+        assert math.isfinite(bg_exp_moment(p, 1, -1.0))
 
     def test_exp_moment_quadrature(self):
         from helpers import quad_expectation

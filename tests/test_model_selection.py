@@ -248,6 +248,14 @@ class TestCompareModels:
         with pytest.raises(InsufficientDataError):
             compare_models([1.0, 2.0, 3.0])
 
+    def test_four_points_fit_as_the_fitters_do(self):
+        # The fitters' own minimum of 4 observations is the only one.
+        x = [0.3, 1.1, 1.9, 4.2]
+        cmp_res = compare_models(x)
+        assert cmp_res.errors is None
+        assert cmp_res.bg_fit == fit_mle(x) and cmp_res.gumbel_fit == fit_gumbel_mle(x)
+        assert cmp_res.bg.n_obs == cmp_res.gumbel.n_obs == 4
+
     @pytest.mark.parametrize("fixture", ["maxima29", "bimodal500"])
     def test_gumbel_fit_is_the_profile_centre(self, request, fixture):
         x = request.getfixturevalue(fixture)

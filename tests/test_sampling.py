@@ -34,8 +34,10 @@ class TestMcmcConfig:
             McmcConfig(n_iterations=0)
         with pytest.raises(ValueError):
             McmcConfig(n_iterations=10, burn_in=10)
-        with pytest.raises(ValueError):
-            McmcConfig(n_iterations=10, proposal_scale=0.0)
+        # A nan scale would give a chain stuck at mu, an inf one nan steps.
+        for scale in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="proposal_scale"):
+                McmcConfig(n_iterations=10, proposal_scale=scale)
 
 
 class TestMhSample:
