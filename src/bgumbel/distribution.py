@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightError
+from .errors import DegenerateWeightError, RegimeError
 from .special import CONSTANTS, _exp, _log_poly_gamma, log_weight_shares
 
 __all__ = [
@@ -114,12 +114,24 @@ class MomentSet:
 
 
 def normalizer(p: BgParams) -> float:
-    """Weight-normalizing constant Z = 1 + d^2 s^2 pi^2/6 + (d*mu + d*s*gamma - 1)^2."""
-    return (
-        1.0
-        + p.delta**2 * p.sigma**2 * _PI**2 / 6.0
-        + (p.delta * p.mu + p.delta * p.sigma * _EG - 1.0) ** 2
-    )
+    """Weight-normalizing constant Z = 1 + d^2 s^2 pi^2/6 + (d*mu + d*s*gamma - 1)^2.
+
+    Raises RegimeError, naming the triple, where Z is above the float range
+    (|delta|, |delta sigma| or |delta mu| above about 1e154).
+    """
+    try:
+        z = (
+            1.0
+            + p.delta**2 * p.sigma**2 * _PI**2 / 6.0
+            + (p.delta * p.mu + p.delta * p.sigma * _EG - 1.0) ** 2
+        )
+    except OverflowError:  # a ** 2 above the float range
+        z = math.inf
+    if not z < math.inf:
+        raise RegimeError(
+            f"the normalizer Z overflows at mu={p.mu!r}, sigma={p.sigma!r}, delta={p.delta!r}"
+        )
+    return z
 
 
 # ----------------------------------------------------------------------
@@ -401,14 +413,14 @@ def bg_exp_moment(p: BgParams, m: int, t: float) -> float:
 
     E[X^m exp(tX)] = exp(t mu) E[(mu - sigma ln V)^m V^(a-1)] with
     a = 1 - sigma t, which holds for every a > 0 and every delta; a t that
-    rounds a to 0, or a nan t, raises ValueError.  exp(t mu) Gamma(a) is
-    taken as one exponential, so it is inf only where the product, not a
-    factor, is above the float range.
+    rounds a to 0 or to inf, or a nan t, raises ValueError.  exp(t mu)
+    Gamma(a) is taken as one exponential, so it is inf only where the
+    product, not a factor, is above the float range.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"bg_exp_moment supports m = 0, 1, 2, got {m}")
     a = 1.0 - p.sigma * t
-    if not a > 0.0:
-        raise ValueError(f"exponential moments require t < 1/sigma, got t={t}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"exponential moments require t < 1/sigma, with sigma*t finite, got t={t}")
     scale = _exp(t * p.mu + math.lgamma(a))
     return float(scale * _expectation(p)(_linear_powers(p.mu, -p.sigma, m)[-1], a))

@@ -20,7 +20,10 @@ each local maximum of the grid (the likelihood can hold several in delta) is
 polished in all three parameters.  One damped Newton, `_newton`, serves
 every fit, its rows in lockstep: 2x2 at fixed delta for the profile's grid
 points, whose delta = 0 row is the Gumbel fit, and 3x3 for the polish of
-every maximum.
+every maximum.  G holds no delta, so one `_sums` pass over the data at a few
+sigma values predicts every grid point's optimum (`_starts`), and each
+fixed-delta Newton starts there, or from the Gumbel moment estimates where
+no prediction is found.
 """
 from __future__ import annotations
 
@@ -85,6 +88,10 @@ _FEW = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _PANEL_BREAKS = (-45.0, -30.0, -18.0, -10.0, -5.0, -2.0, 0.0, 1.5, 3.0, 4.5, 6.8)
 _POLE_CUTS = 2.0 ** np.arange(-2, 6)
+# `_starts`' sigma table, at t = ln sigma0 + _TABLE_STEP * k for k in
+# _TABLE_NODES, and its Newton steps: in mu at each node, and on each cubic.
+_TABLE_STEP, _TABLE_NODES = 0.125, np.arange(-12, 6)
+_START_ITER, _CUBIC_ITER = 4, 4
 
 
 class LocalMaximum(NamedTuple):
@@ -328,6 +335,78 @@ def _gumbel_moment_init(x: np.ndarray) -> tuple[float, float]:
     return mu0, sg0
 
 
+def _hermite(f0, f1, m0, m1) -> tuple:
+    """The coefficients in s of the cubic on [0, 1] with values f0, f1 and slopes m0, m1 at its ends."""
+    return f0, m0, 3.0 * (f1 - f0) - 2.0 * m0 - m1, 2.0 * (f0 - f1) + m0 + m1
+
+
+def _cubic(c, s):
+    """The cubic with coefficients ``c`` (constant first) at s, by Horner."""
+    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+
+
+def _starts(x: np.ndarray, grid) -> np.ndarray:
+    """`_newton`'s start for each fixed-delta row of ``grid``, as (R, 3) rows (mu, t = ln sigma, delta).
+
+    The data enter a row only through G, which holds no delta.  One `_sums`
+    pass at mu0 and sigma_k = exp(t_k), t_k = ln sigma0 + k / 8 for
+    k = -12..5 ((mu0, sigma0) the Gumbel moment estimates), gives G's sums
+    S0, S1, S2, Sw at every mu on those sigma_k: with d = (mu - mu0) /
+    sigma_k, sum e = e^d S0, sum w e = e^d (S1 - d S0), sum w^2 e =
+    e^d (S2 - 2 d S1 + d^2 S0) and sum w = Sw - n d.  So, free of the data,
+    for each row and node _START_ITER Newton steps in mu from d = ln(n / S0)
+    (the delta = 0 root) give the mu* that maximises l, and `_terms` there
+    the profile's slope P' = dl/dt, its curvature P'' = l_tt - l_mt^2 / l_mm
+    and dmu*/dt = -l_mt / l_mm.  The start is the root of the cubic Hermite
+    of P' in the first cell where P' falls from > 0 to <= 0, with mu from
+    the Hermite of mu*(t).  A row with no such cell, or a non-finite start,
+    keeps the moment start.  Elementwise in the rows, with fixed step counts:
+    each row's start is what it would be alone.
+    """
+    n = x.size
+    mu0, sg0 = _gumbel_moment_init(x)
+    t0 = math.log(sg0)
+    t = t0 + _TABLE_STEP * _TABLE_NODES
+    sg = np.exp(t)
+    dl = np.asarray(grid, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sums = _sums(x, np.full(t.size, mu0), sg, np.zeros(t.size), 4)
+        # Every table quantity as an (R, K) array: numpy broadcasts at twice the cost.
+        sg, tk, s0, s1, s2, sw = np.tile(np.array([sg, t, *sums])[:, None], (1, dl.size, 1))
+        dk = np.tile(dl[:, None], (1, t.size))
+        d = np.log(n / s0)
+        for _ in range(_START_ITER):
+            e = np.exp(d)
+            mu = mu0 + sg * d
+            _, g, h = _terms(n, mu, sg, tk, dk, e * s0, e * (s1 - d * s0),
+                             e * (s2 - d * (2.0 * s1 - d * s0)), sw - n * d, 0.0)
+            y = _solve(h, g[:1])[0][0]
+            d = d + y / sg
+        # mu* and P' at the last Newton point, mu + y, to first order in y.
+        mu, dmu, dp = mu + y, -h[0][1] / h[0][0], g[1] + h[0][1] * y
+        # The first cell [t_k, t_k+1] where P' falls through 0; k = 0 with none.
+        cell = (dp[:, :-1] > 0.0) & (dp[:, 1:] <= 0.0)
+        rows, k = np.arange(dl.size), cell.argmax(axis=1)
+
+        def ends(v):
+            return v[rows, k], v[rows, k + 1]
+
+        p0, p1 = ends(dp)
+        c = _hermite(p0, p1, *ends(_TABLE_STEP * (h[1][1] + h[0][1] * dmu)))
+        # The root of P''s cubic in s on [0, 1]: safeguarded Newton from the
+        # secant root, bisecting where a step leaves the bracket.
+        lo, hi, s = 0.0, 1.0, p0 / (p0 - p1)
+        for _ in range(_CUBIC_ITER):
+            v = _cubic(c, s)
+            lo, hi = np.where(v > 0.0, s, lo), np.where(v > 0.0, hi, s)
+            s_new = s - v / (c[1] + s * (2.0 * c[2] + s * 3.0 * c[3]))
+            s = np.where((s_new >= lo) & (s_new <= hi), s_new, 0.5 * (lo + hi))
+        mu = _cubic(_hermite(*ends(mu), *ends(_TABLE_STEP * dmu)), s)
+        out = np.stack([mu, t[k] + _TABLE_STEP * s, dl], axis=1)
+    out[~(cell.any(axis=1) & np.isfinite(out).all(axis=1)), :2] = mu0, t0
+    return out
+
+
 def _delta_grid(x: np.ndarray) -> np.ndarray:
     """Sinh-spaced delta grid in +-_GRID_REACH / s, with 0 at its centre.
 
@@ -529,8 +608,14 @@ def fit_mle(data) -> FitResult:
     A profile-likelihood search in delta, which can hold several local
     maxima.  On a sinh-spaced grid of 81 delta values (``_delta_grid``) the
     profile l_p(delta) = max over (mu, sigma) of l is computed by the damped
-    Newton `_newton` in (mu, ln sigma) at fixed delta, every grid point
-    started from the Gumbel moment estimates and all 81 run together.  At
+    Newton `_newton` in (mu, ln sigma) at fixed delta, all 81 run together.
+    Each grid point starts at its predicted optimum (`_starts`): G's sums at
+    18 values of sigma around the moment estimate, sigma0 e^(k/8) for
+    k = -12..5, taken in one pass over the data, give l at every mu and
+    delta on them, and the root of the profile's slope in sigma is
+    interpolated between the two values where it changes sign.  A grid
+    point whose optimum lies outside that range of sigma, or whose
+    prediction is not finite, starts from the Gumbel moment estimates.  At
     each fixed delta the Newton stops after 500 steps or at a gradient of
     1e-9 per observation.  The same Newton, now in (mu, ln sigma, delta),
     then polishes every local maximum of the grid together, each until a
@@ -543,9 +628,7 @@ def fit_mle(data) -> FitResult:
     """
     x = _fit_data(data)
     grid = _delta_grid(x)
-    mu0, sg0 = _gumbel_moment_init(x)
-    starts = [(mu0, math.log(sg0), dl) for dl in grid.tolist()]
-    rows, profile, steps = _newton(x, starts, 2, _MAX_ITER, _TOL)
+    rows, profile, steps = _newton(x, _starts(x, grid), 2, _MAX_ITER, _TOL)
     inner = sum(steps)
 
     last = grid.size - 1
@@ -594,10 +677,9 @@ def _same_point(a: BgParams, b: BgParams) -> bool:
 def fit_gumbel_mle(data) -> FitResult:
     """Maximum-likelihood fit of the nested Gumbel model (delta fixed at 0).
 
-    ``fit_mle``'s profile row at delta = 0 alone, the same fit as its
-    ``diagnostics.gumbel``.
+    ``fit_mle``'s profile row at delta = 0 alone, from the same predicted
+    start, so the same fit as its ``diagnostics.gumbel``.
     """
     x = _fit_data(data)
-    mu, sg = _gumbel_moment_init(x)
-    pts, _, steps = _newton(x, [(mu, math.log(sg), 0.0)], 2, _MAX_ITER, _TOL)
+    pts, _, steps = _newton(x, _starts(x, (0.0,)), 2, _MAX_ITER, _TOL)
     return _finish(x, pts[0], steps[0], fix_delta=True)

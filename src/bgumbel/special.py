@@ -373,17 +373,26 @@ def _polygammas(x: float) -> tuple[float, float, float, float]:
     (2k+m-1)!/((2k)! z^(2k+m))], with -ln z for (m-1)!/z^m at m = 0, is
     summed to B_20 (Abramowitz & Stegun 6.3.18, 6.4.11).  For m >= 1 all
     terms share a sign, so the error is relative; psi, which has a root,
-    is accurate relative to max(|psi|, 1).
+    is accurate relative to max(|psi|, 1).  Where x^-4 or z^4 is above the
+    float range (x below about 1e-77 or above about 1.2e77), each is its
+    leading term, -1/x, 1/x^2, -2/x^3, 6/x^4 or ln x, 1/x, -1/x^2, 2/x^3,
+    which the next term changes by under 1e-76 relative (inf where it
+    overflows).
     """
     n = max(0, math.ceil(10.0 - x))
     z = x + n
     out = []
-    for m, c in enumerate(_PSI_SERIES):
-        fact = math.factorial(m)
-        head = -math.log(z) if m == 0 else math.factorial(m - 1) / z**m
-        series = _horner(c, 1.0 / (z * z)) / z**m + fact / (2.0 * z ** (m + 1)) + head
-        near = fact * sum((x + j) ** -(m + 1) for j in range(n))
-        out.append((-1.0) ** (m - 1) * (series + near))
+    try:
+        for m, c in enumerate(_PSI_SERIES):
+            fact = math.factorial(m)
+            head = -math.log(z) if m == 0 else math.factorial(m - 1) / z**m
+            series = _horner(c, 1.0 / (z * z)) / z**m + fact / (2.0 * z ** (m + 1)) + head
+            near = fact * sum((x + j) ** -(m + 1) for j in range(n))
+            out.append((-1.0) ** (m - 1) * (series + near))
+    except OverflowError:
+        if x < 1.0:
+            return -1.0 / x, 1.0 / x / x, -2.0 / x / x / x, 6.0 / x / x / x / x
+        return math.log(x), 1.0 / x, -1.0 / x / x, 2.0 / x / x / x
     return tuple(out)
 
 

@@ -143,6 +143,13 @@ class TestEval:
         assert payload["skewness"] == pytest.approx(1.1395470994046487, rel=1e-14)
         assert payload["kurtosis"] == pytest.approx(5.4, rel=1e-14)
 
+    @pytest.mark.parametrize("what", ["moments", "pdf"])
+    def test_normalizer_overflow_names_the_triple(self, what, capsys):
+        # Z is above the float range: a numeric error naming mu, sigma and delta.
+        assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "1e200",
+                    "--what", what, "--at", "0"]) == EXIT_NUMERIC
+        assert "mu=0.0, sigma=1.0, delta=1e+200" in capsys.readouterr().err
+
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         # The output's parent is a file: exit 2 with an error line, not a traceback.
         parent = tmp_path / "c.csv"
@@ -161,6 +168,12 @@ class TestSample:
         assert run(args + ["-o", str(f2)]) == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
         assert f1.read_text().splitlines()[0] == "draw"
+
+    @pytest.mark.parametrize("method", ["mh", "representation"])
+    def test_normalizer_overflow_names_the_triple(self, method, capsys):
+        assert run(["sample", "--mu", "0", "--sigma", "1", "--delta", "1e200",
+                    "--n", "3", "--method", method]) == EXIT_NUMERIC
+        assert "mu=0.0, sigma=1.0, delta=1e+200" in capsys.readouterr().err
 
     def test_manifest_sidecar(self, tmp_path):
         out = tmp_path / "draws.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bgumbel import (
     BgParams,
     DegenerateWeightError,
     GumbelParams,
+    RegimeError,
     bg_cdf,
     bg_exp_moment,
     bg_log_pdf,
@@ -77,6 +79,19 @@ class TestNormalizer:
         rng = np.random.default_rng(3)
         for _ in range(50):
             assert normalizer(random_params(rng, delta_scale=4.0)) >= 1.0
+
+    @pytest.mark.parametrize(
+        "triple", [(0.0, 1.0, 1e200), (0.0, 1e160, 1.0), (1e200, 1.0, 1e-40), (0.0, 1.0, 1e154)]
+    )
+    def test_overflow_names_the_triple(self, triple):
+        # Z above the float range: a square that overflows (the first three)
+        # or a sum that rounds to inf (the last).  The density and the
+        # moments, which divide by Z, raise the same error.
+        p = BgParams(*triple)
+        named = re.escape(f"mu={p.mu!r}, sigma={p.sigma!r}, delta={p.delta!r}")
+        for f in (normalizer, bg_moment_set, lambda p: bg_pdf(p, 0.5)):
+            with pytest.raises(RegimeError, match=named):
+                f(p)
 
 
 class TestPdf:
@@ -454,6 +469,17 @@ class TestMgfAndExpMoments:
             p = random_params(rng)
             t = -float(rng.uniform(0.1, 2.0))
             assert bg_exp_moment(p, 0, t) == pytest.approx(bg_mgf(p, t), rel=1e-12)
+
+    def test_far_below_the_domain_edge(self):
+        # a = 1 - sigma t is beyond where the polygammas' powers overflow, and
+        # the true values overflow: E[X exp(tX)] is dominated by large negative X.
+        p = BgParams(1, 1, 0)
+        assert bg_mgf(p, -1e100) == math.inf
+        assert bg_exp_moment(p, 1, -1e100) == -math.inf
+        assert bg_exp_moment(BgParams(1, 1, 0.5), 2, -1e100) == math.inf
+        for m in (0, 1, 2):
+            with pytest.raises(ValueError, match="t < 1/sigma"):
+                bg_exp_moment(p, m, -math.inf)
 
     def test_exp_moment_frozen_value(self):
         # E[X exp(-2X)] for (-2, 1, -1) from 40-digit quadrature.

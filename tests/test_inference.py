@@ -33,6 +33,7 @@ from bgumbel.inference import (
     _gumbel_moment_init,
     _log_z,
     _newton,
+    _starts,
 )
 from helpers import fd_gradient, inverse_sampler, random_params
 
@@ -97,6 +98,8 @@ def _test_data(request, series1774, name):
     if name == "blocks60":
         x = block_maxima(series1774, BlockMaximaConfig(60))
         return x - x.mean()
+    if name == "far300":
+        return np.random.default_rng(22).gumbel(-1e4, 3.0, 300)
     if name.startswith("gumbel"):
         n = int(name[len("gumbel"):])
         return np.random.default_rng(n).gumbel(1.0, 2.0, n)
@@ -471,7 +474,7 @@ class TestFitMle:
         truth = log_likelihood(p, x)
         assert fit_mle(x).log_likelihood >= truth - 1e-9 * abs(truth)
 
-    @pytest.mark.parametrize("data", ["maxima29", "bimodal500", "blocks60", "gumbel100", "gumbel2000"])
+    @pytest.mark.parametrize("data", ["maxima29", "bimodal500", "blocks60", "gumbel100", "gumbel2000", "far300"])
     def test_profile_matches_scalar_newton(self, request, series1774, data):
         # The oracle is a scalar fixed-delta Newton written here, on the
         # public log_likelihood, score and hessian, started at every grid
@@ -486,6 +489,43 @@ class TestFitMle:
             assert abs(got - ref) <= 1e-12 * abs(ref), dl
             # Not lower, beyond the rounding of sums over the data.
             assert got >= ref - 1e-14 * abs(ref), dl
+
+    @pytest.mark.parametrize("data", ["maxima29", "bimodal500", "blocks60", "gumbel2000"])
+    def test_profile_rows_start_at_their_optimum(self, request, series1774, data):
+        # From the moment estimates each row took about 4.6 Newton steps;
+        # from the start the sigma table predicts, one or two.
+        x = _test_data(request, series1774, data)
+        assert fit_mle(x).diagnostics.inner_steps <= 2 * 81
+
+    @pytest.mark.parametrize("data", ["bimodal500", "far300"])
+    def test_starts_rows_do_not_interact(self, request, series1774, data):
+        # Each row's predicted start is what it would be alone, bit for bit.
+        x = _test_data(request, series1774, data)
+        grid = _delta_grid(x)
+        together = _starts(x, grid)
+        for k, dl in enumerate(grid.tolist()):
+            assert together[k].tolist() == _starts(x, (dl,))[0].tolist()
+
+    def test_start_outside_the_table_falls_back(self):
+        # One far left outlier puts the fixed-delta optimum near 3 sigma0,
+        # beyond the table's top node at sigma0 e^(5/8): the rows keep the
+        # moment start and still reach the scalar oracle's profile.
+        x = np.append(np.linspace(0.0, 1.0, 100), -1000.0)
+        mu0, sg0 = _gumbel_moment_init(x)
+        for dl in _delta_grid(x)[[20, 60]].tolist():
+            start = _starts(x, (dl,))
+            assert start.tolist() == [[mu0, math.log(sg0), dl]]
+            ((_, t, _),), (got,), _ = _newton(x, start, 2, _MAX_ITER, _TOL)
+            assert math.exp(t) > 2.0 * sg0
+            ref = _oracle_profile(x, mu0, sg0, dl)
+            assert abs(got - ref) <= 1e-12 * abs(ref), dl
+
+    def test_start_where_the_table_overflows_falls_back(self):
+        # A far left outlier in a large sample overflows exp(-w) at the
+        # table's smaller sigma: no warning, and the moment start.
+        x = np.append(np.random.default_rng(1).gumbel(size=40000), -1e6)
+        mu0, sg0 = _gumbel_moment_init(x)
+        assert _starts(x, (0.0,)).tolist() == [[mu0, math.log(sg0), 0.0]]
 
     @pytest.mark.parametrize("data", ["bimodal500", "blocks60"])
     def test_newton_rows_do_not_interact(self, request, series1774, data):

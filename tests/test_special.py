@@ -274,6 +274,19 @@ class TestGammaDerivatives:
                 assert float(abs(_polygammas(x)[m] - want) / scale) < 1e-14, x
         assert digamma(2.5) == _polygammas(2.5)[0] and trigamma(2.5) == _polygammas(2.5)[1]
 
+    def test_polygammas_beyond_the_power_range(self):
+        # x^-4 or z^4 is above the float range: each psi^(m) is its leading
+        # term there, exact to rounding against 40-digit mpmath, and inf
+        # where the true value overflows.
+        import mpmath as mp
+
+        for x in (5e-324, 1e-300, 1e-100, 5e-78, 2e77, 1e100, 1e300, 1.7e308):
+            with mp.workdps(40):
+                want = [float(mp.polygamma(m, x)) for m in range(4)]
+            assert list(_polygammas(x)) == pytest.approx(want, rel=4e-16, abs=0.0), x
+        assert _polygammas(1e-300)[1] == math.inf
+        assert digamma(1e100) == pytest.approx(100 * math.log(10.0), rel=1e-15)
+
     def test_gamma_overflow_is_inf(self):
         assert gamma_deriv(0, 200.0) == math.inf and gamma_deriv(4, 200.0) == math.inf
 
