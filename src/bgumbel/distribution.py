@@ -246,6 +246,7 @@ def _shares(
 
 def _bg_weight(p: BgParams) -> tuple[float, float, float]:
     """(1 - delta x)^2 + 1 at x = mu - sigma ln v, as coefficients of 1, ln v, ln^2 v."""
+    normalizer(p)  # RegimeError, naming the triple, where the weight's integral Z overflows
     a, b = 1.0 - p.delta * p.mu, p.delta * p.sigma
     return a * a + 1.0, 2.0 * a * b, b * b
 
@@ -255,7 +256,8 @@ def bg_cdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
 
     Accurate to about 1e-13 relative even in the far left tail, down to
     values near 1e-300; the delta = 0 case reduces to the Gumbel
-    distribution function.
+    distribution function.  Raises RegimeError, naming the triple, where
+    the normalizer Z overflows.
     """
     return _shares(p, _bg_weight(p), x)[0]
 
@@ -264,7 +266,8 @@ def bg_sf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     """Survival function 1 - F of the BG law, vectorized over ``x``.
 
     Computed as an integral of its own, not as 1 - F, so it keeps about
-    1e-13 relative accuracy in the far right tail.
+    1e-13 relative accuracy in the far right tail.  Raises RegimeError,
+    naming the triple, where the normalizer Z overflows.
     """
     return _shares(p, _bg_weight(p), x)[1]
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .distribution import BgParams, _expectation
 from .errors import DegenerateDataError, InsufficientDataError
-from .special import CONSTANTS, _sorted_unique
+from .special import CONSTANTS, _hermite, _horner
 
 __all__ = [
     "FitResult",
@@ -308,14 +308,16 @@ def _f4_integral(mu: float, sg: float, dl: float) -> float:
     sigma and h = 1/|delta sigma|, where u = -+i; the panels are graded
     geometrically towards s0, so near the poles no panel is wider than its
     distance from them.  Below s = -45 and above s = 6.8 the Gumbel factor is
-    under 3e-20.
+    under 3e-20.  A cut that repeats a break (for |delta sigma| above about
+    1e15 the cuts round onto one another) makes a panel of width 0, whose
+    terms are 0; they move only the order of the sum's rounding.
     """
     breaks = np.array(_PANEL_BREAKS)
     q = abs(dl * sg)  # 1/h; poles further out leave every panel smooth
     if q > 1e-6:
         cuts = (mu - 1.0 / dl) / sg + np.concatenate([-_POLE_CUTS, _POLE_CUTS]) / q
         inner = cuts[(cuts > breaks[0]) & (cuts < breaks[-1])]
-        breaks = _sorted_unique(np.concatenate([breaks, inner]))
+        breaks = np.sort(np.concatenate([breaks, inner]))
     half = 0.5 * np.diff(breaks)[:, None]
     s = breaks[:-1, None] + half * (1.0 + _GL_NODES)
     x = mu - sg * s
@@ -333,16 +335,6 @@ def _gumbel_moment_init(x: np.ndarray) -> tuple[float, float]:
     sg0 = s * math.sqrt(6.0) / _PI
     mu0 = float(x.mean()) - _EG * sg0
     return mu0, sg0
-
-
-def _hermite(f0, f1, m0, m1) -> tuple:
-    """The coefficients in s of the cubic on [0, 1] with values f0, f1 and slopes m0, m1 at its ends."""
-    return f0, m0, 3.0 * (f1 - f0) - 2.0 * m0 - m1, 2.0 * (f0 - f1) + m0 + m1
-
-
-def _cubic(c, s):
-    """The cubic with coefficients ``c`` (constant first) at s, by Horner."""
-    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
 
 def _starts(x: np.ndarray, grid) -> np.ndarray:
@@ -397,11 +389,11 @@ def _starts(x: np.ndarray, grid) -> np.ndarray:
         # secant root, bisecting where a step leaves the bracket.
         lo, hi, s = 0.0, 1.0, p0 / (p0 - p1)
         for _ in range(_CUBIC_ITER):
-            v = _cubic(c, s)
+            v = _horner(c, s)
             lo, hi = np.where(v > 0.0, s, lo), np.where(v > 0.0, hi, s)
             s_new = s - v / (c[1] + s * (2.0 * c[2] + s * 3.0 * c[3]))
             s = np.where((s_new >= lo) & (s_new <= hi), s_new, 0.5 * (lo + hi))
-        mu = _cubic(_hermite(*ends(mu), *ends(_TABLE_STEP * dmu)), s)
+        mu = _horner(_hermite(*ends(mu), *ends(_TABLE_STEP * dmu)), s)
         out = np.stack([mu, t[k] + _TABLE_STEP * s, dl], axis=1)
     out[~(cell.any(axis=1) & np.isfinite(out).all(axis=1)), :2] = mu0, t0
     return out
@@ -439,7 +431,8 @@ def _solve(h, g) -> tuple[list, object]:
     of the opposite sign would; and y does not depend on the units of the
     parameters.  Elementwise: the entries of h and g are floats or arrays of
     rows alike.  Returns y and whether all pivots are > 0 (not nan, no zero
-    diagonal), per row.
+    diagonal), per row; a row of floats returns at the first pivot that is
+    not, with y nan, so that `_newton` stops it as it stops an array's row.
     """
     low, d, y = [], [], []  # rows of unit-lower L, pivots, L^-1 g
     ok = True
@@ -456,6 +449,8 @@ def _solve(h, g) -> tuple[list, object]:
             yi = yi - li[m] * y[m]
         d.append(_maximum(abs(s), 1e-12 * abs(row[i])))
         ok = ok & (d[i] > 0.0)
+        if ok is False:
+            return [math.nan] * len(g), False
         low.append(li)
         y.append(yi)
     for i in reversed(range(len(y))):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .distribution import BgParams, _bg_weight, _bracket, _log_density, bg_moment_set, normalizer
-from .special import log_weight_shares
+from .special import _hermite, _horner, log_weight_shares
 
 __all__ = [
     "McmcConfig",
@@ -167,9 +167,11 @@ def _inverse_cdf(p: BgParams, u: np.ndarray) -> np.ndarray:
     of a ladder step, :func:`~bgumbel.distribution._bracket`), are mapped
     to the Gumbel variate s = -ln(-ln F), in which x is nearly linear in
     both tails; -ln F is -log1p(-S) where F > 1/2, and the slope
-    dx/ds = F (-ln F) / f is exact.  |F(x) - u| / min(u, 1 - u) is at most
-    about 2e-8, more where the density dips within a few node spacings
-    (4.5e-6 at delta = -65); u beyond the table is clipped to its ends.
+    dx/ds = F (-ln F) / f is exact.  On the cell [s_j, s_j + h], x is the
+    `_hermite` cubic in (s - s_j) / h with slopes h dx/ds.
+    |F(x) - u| / min(u, 1 - u) is at most about 2e-8, more where the
+    density dips within a few node spacings (4.5e-6 at delta = -65); u
+    beyond the table is clipped to its ends.
     """
     xs = np.linspace(*_bracket(p, 1e-12, 1.0 - 1e-12), 2305)
     log_dens, z = _log_density(p, xs)  # z = exp(-(x - mu)/sigma) serves F and S, as in `hazard`
@@ -181,18 +183,14 @@ def _inverse_cdf(p: BgParams, u: np.ndarray) -> np.ndarray:
     upper = cdf > 0.5
     neg_log_cdf[upper] = -np.log1p(-sf[upper])
     nodes = -np.log(neg_log_cdf)
-    # The Hermite cubic on the cell from nodes[j] is c0 + t (c1 + t (c2 + t c3)),
-    # t = (s - nodes[j]) / h.
     slopes = cdf * neg_log_cdf / dens  # dx/ds
-    h, dx = np.diff(nodes), np.diff(xs)
-    m0, m1 = h * slopes[:-1], h * slopes[1:]
-    cells = np.stack([nodes[:-1], 1.0 / h, xs[:-1], m0, 3.0 * dx - 2.0 * m0 - m1, m0 + m1 - 2.0 * dx])
+    h = np.diff(nodes)
+    cells = np.stack([nodes[:-1], 1.0 / h, *_hermite(xs[:-1], xs[1:], h * slopes[:-1], h * slopes[1:])])
 
     with np.errstate(divide="ignore"):  # u = 0 is s = -inf
         s = np.clip(-np.log(-np.log(u)), nodes[0], nodes[-1])
-    lo, inv_h, c0, c1, c2, c3 = np.take(cells, np.searchsorted(nodes[1:-1], s), axis=1)
-    t = (s - lo) * inv_h
-    return c0 + t * (c1 + t * (c2 + t * c3))
+    lo, inv_h, *c = np.take(cells, np.searchsorted(nodes[1:-1], s), axis=1)
+    return _horner(c, (s - lo) * inv_h)
 
 
 def representation_sample(p: BgParams, n: int, seed: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import BgParams, _bg_weight, _float_or_array, _log_density
+from .distribution import BgParams, _bg_weight, _float_or_array, _log_density, normalizer
 from .errors import RegimeError, RootIsolationError
 from .special import _brentq, _exp, log_weight_shares
 
@@ -96,20 +96,16 @@ def critical_function_g(p: BgParams, x: float | np.ndarray) -> float | np.ndarra
 
 
 def check_condition_c(p: BgParams) -> ConditionCReport:
-    """Evaluate the four sufficient inequalities for a three-root structure.
+    """The paper's four sufficient inequalities for a three-root structure, as signs of g.
 
-    An exponential too large for a float is taken as inf, so each inequality
-    takes its limit there: 1 and 4 are false, 2 and 3 true.
+    They read delta > 1 and g(0) < 0, g(-1) > 0, g(2) > 0 and g(3) < 0.  An
+    exponential too large for a float is inf, so each takes its limit there:
+    1 and 4 are false, 2 and 3 true.
     """
-    mu, sg, dl = p.mu, p.sigma, p.delta
-
-    def ratio(u: float) -> float:
-        return 2.0 * dl * u / (u * u + 1.0)
-
-    c1 = dl > max(1.0, (_exp(mu / sg) - 1.0) / sg)
-    c2 = ratio(1.0 + dl) < (_exp((1.0 + mu) / sg) - 1.0) / sg
-    c3 = ratio(1.0 - 2.0 * dl) < (_exp(-(2.0 - mu) / sg) - 1.0) / sg
-    c4 = ratio(1.0 - 3.0 * dl) > (_exp(-(3.0 - mu) / sg) - 1.0) / sg
+    c1 = p.delta > 1.0 and critical_function_g(p, 0.0) < 0.0
+    c2 = critical_function_g(p, -1.0) > 0.0
+    c3 = critical_function_g(p, 2.0) > 0.0
+    c4 = critical_function_g(p, 3.0) < 0.0
     return ConditionCReport(c1 and c2 and c3 and c4, c1, c2, c3, c4)
 
 
@@ -176,8 +172,10 @@ def find_modes(p: BgParams) -> ShapeReport:
     the cuts lo, x_a, x_b, hi, and each pair that differs in sign (> 0 against <= 0)
     holds one root: 1 or 3 in all.  Brent's rtol 8.9e-16 ties each root's tolerance
     to the root; the xtol eps sigma/16 floors it near 0, at a sixteenth of the step
-    in x at which e^-w rounds.
+    in x at which e^-w rounds.  Raises RegimeError, naming the triple, where
+    the normalizer Z overflows, as the density does.
     """
+    normalizer(p)
     mu, sg, dl = p.mu, p.sigma, p.delta
     lo, hi = mu - sg * (1.0 + math.log1p(sg * abs(dl))), mu + sg * math.log(2.0)
     inner: tuple[float, ...] = ()

@@ -108,11 +108,16 @@ _BIT_REVERSED = [int(f"{k:05b}"[::-1], 2) for k in range(32)]
 
 
 def _horner(c: tuple[float, ...], x: np.ndarray) -> np.ndarray | float:
-    """c[0] + c[1] x + c[2] x^2 + ... by Horner's rule."""
+    """c[0] + c[1] x + c[2] x^2 + ... by Horner's rule, elementwise; it evaluates :func:`_hermite`'s cubics."""
     out = c[-1]
     for ci in c[-2::-1]:
         out = out * x + ci
     return out
+
+
+def _hermite(f0, f1, m0, m1) -> tuple:
+    """Coefficients, constant first, of the cubic on [0, 1] with values f0, f1 and slopes m0, m1 at 0, 1."""
+    return f0, m0, 3.0 * (f1 - f0) - 2.0 * m0 - m1, 2.0 * (f0 - f1) + m0 + m1
 
 
 def _estrin(c, x):
@@ -143,16 +148,6 @@ def _estrin(c, x):
          for a, b, d, e, f, g, h, k in zip(*[eights] * 8)]
     fours = iter(c)
     return [(a + b * x8) + (d + e * x8) * x16 for a, b, d, e in zip(*[fours] * 4)]
-
-
-def _sorted_unique(xs: np.ndarray) -> np.ndarray:
-    """The values of the float array ``xs`` (no nan) once each, ascending: ``np.unique``.
-
-    A stable sort merges presorted runs, and ``np.unique`` would import
-    ``numpy.ma`` on its first call, about 15 ms.
-    """
-    xs = np.sort(xs, kind="stable")
-    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
 
 def _exp(t: float | np.ndarray) -> float | np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bgumbel import BgParams, bg_pdf, hazard
+from bgumbel import BgParams, bg_cdf, bg_moment_set, bg_pdf, find_modes, hazard
 from bgumbel.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NUMERIC,
@@ -123,6 +123,44 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "x,survival,hazard"
 
+    @pytest.mark.parametrize("what", ["pdf", "cdf", "hazard"])
+    def test_table_json(self, what, capsys):
+        p = BgParams(1.0, 1.0, 2.0)
+        assert run(["eval", "--mu", "1", "--sigma", "1", "--delta", "2", "--what", what,
+                    "--grid=-2:4:7", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        xs = np.linspace(-2, 4, 7)
+        if what == "hazard":
+            hp = hazard(p, xs)
+            want = [{"x": x, "survival": s, "hazard": h}
+                    for x, s, h in zip(xs.tolist(), hp.survival.tolist(), hp.hazard.tolist())]
+        else:
+            func = bg_pdf if what == "pdf" else bg_cdf
+            want = [{"x": x, what: v} for x, v in zip(xs.tolist(), func(p, xs).tolist())]
+        assert payload["table"] == want
+        assert payload["manifest"]["args"]["what"] == what
+
+    def test_moments_csv(self, capsys):
+        p = BgParams(-2.0, 1.0, -1.0)
+        assert run(["eval", "--mu", "-2", "--sigma", "1", "--delta", "-1",
+                    "--what", "moments", "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.splitlines()
+        keys = ["mean", "second_raw", "third_raw", "variance", "skewness", "kurtosis"]
+        assert header.split(",") == keys
+        ms = bg_moment_set(p)
+        assert values.split(",") == [str(getattr(ms, k)) for k in keys]
+
+    def test_shape_csv(self, capsys):
+        rep = find_modes(BgParams(1.0, 1.0, 2.0))
+        assert run(["eval", "--mu", "1", "--sigma", "1", "--delta", "2",
+                    "--what", "shape", "--format", "csv"]) == EXIT_OK
+        header, values = capsys.readouterr().out.splitlines()
+        assert header == "modality,modes,antimode,condition_c_holds,r2_in_d,d_interval"
+        assert values.split(",") == [
+            "bimodal", ";".join(map(str, rep.modes)), str(rep.antimode), "True", "True",
+            ";".join(map(str, rep.d_interval)),
+        ]
+
     def test_invalid_sigma_is_usage_error(self, capsys):
         assert run(["eval", "--mu", "0", "--sigma", "-1", "--delta", "0",
                     "--what", "moments"]) == EXIT_USAGE
@@ -143,7 +181,7 @@ class TestEval:
         assert payload["skewness"] == pytest.approx(1.1395470994046487, rel=1e-14)
         assert payload["kurtosis"] == pytest.approx(5.4, rel=1e-14)
 
-    @pytest.mark.parametrize("what", ["moments", "pdf"])
+    @pytest.mark.parametrize("what", ["moments", "pdf", "cdf", "shape"])
     def test_normalizer_overflow_names_the_triple(self, what, capsys):
         # Z is above the float range: a numeric error naming mu, sigma and delta.
         assert run(["eval", "--mu", "0", "--sigma", "1", "--delta", "1e200",
@@ -346,6 +384,17 @@ class TestFit:
         report = json.loads(capsys.readouterr().out)
         assert report["ljung_box"]["lags"] == 5
         assert 0.0 <= report["ljung_box"]["p_value"] <= 1.0
+
+    def test_ljung_box_screen_warns_on_random_walk(self, tmp_path, capsys):
+        walk = np.cumsum(np.random.default_rng(8).normal(size=200))
+        csv = tmp_path / "walk.csv"
+        csv.write_text("".join(f"{v!r}\n" for v in walk.tolist()))
+        assert run(["fit", str(csv), "--model", "gumbel"]) == EXIT_OK
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        assert report["ljung_box"]["flagged"] is True
+        assert report["ljung_box"]["p_value"] < 0.017
+        assert "warning: Ljung-Box p-value" in out.err
 
     def test_report_deterministic_up_to_timestamp(self, tmp_path, fixtures_dir):
         reports = []

@@ -18,6 +18,8 @@ from bgumbel import (
     bg_moment,
     bg_moment_set,
     bg_pdf,
+    bg_sf,
+    find_modes,
     gumbel_cdf,
     gumbel_moment,
     gumbel_pdf,
@@ -85,11 +87,12 @@ class TestNormalizer:
     )
     def test_overflow_names_the_triple(self, triple):
         # Z above the float range: a square that overflows (the first three)
-        # or a sum that rounds to inf (the last).  The density and the
-        # moments, which divide by Z, raise the same error.
+        # or a sum that rounds to inf (the last).  The density, F, S, the
+        # moments and the mode search raise the same error.
         p = BgParams(*triple)
         named = re.escape(f"mu={p.mu!r}, sigma={p.sigma!r}, delta={p.delta!r}")
-        for f in (normalizer, bg_moment_set, lambda p: bg_pdf(p, 0.5)):
+        for f in (normalizer, bg_moment_set, find_modes, lambda p: bg_pdf(p, 0.5),
+                  lambda p: bg_cdf(p, 0.5), lambda p: bg_sf(p, np.array([0.5]))):
             with pytest.raises(RegimeError, match=named):
                 f(p)
 

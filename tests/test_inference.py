@@ -614,6 +614,16 @@ class TestFitGumbel:
         assert shifted.params.mu == pytest.approx(base.params.mu + 10.0, abs=1e-6)
         assert shifted.params.sigma == pytest.approx(base.params.sigma, abs=1e-6)
 
+    def test_zero_pivot_row_matches_profile_row(self):
+        # A far outlier: on the way to the optimum the one-row (float) Newton
+        # meets a zero pivot, which must stop that trial as it does in the
+        # 81-row (array) profile, not raise ZeroDivisionError.
+        x = np.append(np.linspace(0, 1, 100), -1000.0)
+        fit = fit_gumbel_mle(x)
+        assert fit == fit_mle(x).diagnostics.gumbel
+        assert (fit.params.mu, fit.params.sigma) == (-87.15096055241578, 272.48071518306665)
+        assert fit.converged and fit.iterations == 19
+
     def test_positive_standard_errors(self, maxima29):
         fit = fit_gumbel_mle(maxima29)
         assert fit.std_errors is not None

@@ -291,6 +291,11 @@ class TestReadSeriesCsv:
         np.testing.assert_array_equal(read_series_csv(f1), [1.5, 2.5, 3.5])
         np.testing.assert_array_equal(read_series_csv(f2), [2.5, 3.5])
 
+    def test_blank_lines_skipped(self, tmp_path):
+        f = tmp_path / "blank.csv"
+        f.write_text("value\n1.5\n\n   \n2.5\n\n")
+        np.testing.assert_array_equal(read_series_csv(f), [1.5, 2.5])
+
     def test_bad_value_reported_with_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("x\n1.0\noops\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -70,6 +71,17 @@ class TestCriticalFunction:
     def test_reference_roots(self, root):
         assert abs(critical_function_g(CANONICAL, root)) < 1e-5
 
+    def test_array_matches_scalar_calls(self):
+        # Bit for bit, with no warning where e^-w or u^2 overflows.
+        xs = np.array([-1e300, -800.0, -1.0, 0.0, 0.3, 2.0, 50.0, 1e300])
+        for p in (CANONICAL, BgParams(-2.0, 0.5, -3.0), BgParams(0.0, 1.0, 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arr = critical_function_g(p, xs)
+                scalars = [critical_function_g(p, x) for x in xs.tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert arr.tobytes() == np.array(scalars).tobytes()
+
     def test_density_derivative_identity(self):
         # f' = f * g, checked against central differences of the density.
         rng = np.random.default_rng(0)
@@ -83,6 +95,46 @@ class TestCriticalFunction:
 
 
 class TestConditionC:
+    @staticmethod
+    def _paper_inequalities(p):
+        """The paper's four inequalities, as written, with an exponential above the float range taken as inf."""
+        mu, sg, dl = p.mu, p.sigma, p.delta
+
+        def exp(t):
+            try:
+                return math.exp(t)
+            except OverflowError:
+                return math.inf
+
+        def ratio(u):
+            return 2.0 * dl * u / (u * u + 1.0)
+
+        return (
+            dl > max(1.0, (exp(mu / sg) - 1.0) / sg),
+            ratio(1.0 + dl) < (exp((1.0 + mu) / sg) - 1.0) / sg,
+            ratio(1.0 - 2.0 * dl) < (exp(-(2.0 - mu) / sg) - 1.0) / sg,
+            ratio(1.0 - 3.0 * dl) > (exp(-(3.0 - mu) / sg) - 1.0) / sg,
+        )
+
+    def test_signs_of_g_are_the_paper_inequalities(self):
+        # Seeded triples with mu up to +-1e3, sigma from 1e-3 to 1e2 and |delta|
+        # from 1e-3 to 1e4, so e^(mu/sigma) often overflows.
+        rng = np.random.default_rng(29)
+        n = 20_000
+        mu = rng.uniform(-1e3, 1e3, n) * np.where(rng.uniform(size=n) < 0.5, 1.0, 1e-3)
+        sg = 10.0 ** rng.uniform(-3, 2, n)
+        dl = np.copysign(10.0 ** rng.uniform(-3, 4, n), rng.uniform(-1, 1, n))
+        assert (mu / sg > 709.79).sum() > n // 20
+        held = 0
+        for t in zip(mu.tolist(), sg.tolist(), dl.tolist()):
+            p = BgParams(*t)
+            rep = check_condition_c(p)
+            want = self._paper_inequalities(p)
+            assert (rep.inequality1, rep.inequality2, rep.inequality3, rep.inequality4) == want, t
+            assert rep.holds == all(want)
+            held += rep.holds
+        assert held > 0
+
     def test_canonical_holds(self):
         rep = check_condition_c(CANONICAL)
         assert rep.holds and bool(rep)
