@@ -73,7 +73,10 @@ class GumbelParams:
 
 @dataclass(frozen=True)
 class BgParams:
-    """Parameter triple (mu, sigma, delta) of the bimodal Gumbel distribution."""
+    """Parameter triple (mu, sigma, delta) of the bimodal Gumbel distribution.
+
+    Raises RegimeError, naming the triple, where its normalizer Z overflows.
+    """
 
     mu: float
     sigma: float
@@ -90,6 +93,9 @@ class BgParams:
             raise ValueError("parameters must be finite")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not _z(self.mu, self.sigma, self.delta)[0] < math.inf:
+            raise RegimeError(f"the normalizer Z overflows at mu={self.mu!r}, "
+                              f"sigma={self.sigma!r}, delta={self.delta!r}")
 
     @property
     def gumbel(self) -> GumbelParams:
@@ -113,25 +119,23 @@ class MomentSet:
     kurtosis: float
 
 
+def _z(mu, sg, dl) -> tuple:
+    """(Z, v, dm): Z = 1 + v + (dm - 1)^2, v = delta^2 sigma^2 pi^2/6, dm = delta mu + delta sigma gamma.
+
+    Elementwise, with the same bits for floats and rows; inf or nan where Z overflows, never an exception.
+    """
+    v = dl * dl * (sg * sg) * _PI**2 / 6.0
+    dm = dl * mu + dl * sg * _EG
+    return 1.0 + v + (dm - 1.0) * (dm - 1.0), v, dm
+
+
 def normalizer(p: BgParams) -> float:
     """Weight-normalizing constant Z = 1 + d^2 s^2 pi^2/6 + (d*mu + d*s*gamma - 1)^2.
 
-    Raises RegimeError, naming the triple, where Z is above the float range
+    Finite: BgParams refuses a triple where Z is above the float range
     (|delta|, |delta sigma| or |delta mu| above about 1e154).
     """
-    try:
-        z = (
-            1.0
-            + p.delta**2 * p.sigma**2 * _PI**2 / 6.0
-            + (p.delta * p.mu + p.delta * p.sigma * _EG - 1.0) ** 2
-        )
-    except OverflowError:  # a ** 2 above the float range
-        z = math.inf
-    if not z < math.inf:
-        raise RegimeError(
-            f"the normalizer Z overflows at mu={p.mu!r}, sigma={p.sigma!r}, delta={p.delta!r}"
-        )
-    return z
+    return _z(p.mu, p.sigma, p.delta)[0]
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +250,6 @@ def _shares(
 
 def _bg_weight(p: BgParams) -> tuple[float, float, float]:
     """(1 - delta x)^2 + 1 at x = mu - sigma ln v, as coefficients of 1, ln v, ln^2 v."""
-    normalizer(p)  # RegimeError, naming the triple, where the weight's integral Z overflows
     a, b = 1.0 - p.delta * p.mu, p.delta * p.sigma
     return a * a + 1.0, 2.0 * a * b, b * b
 
@@ -256,8 +259,7 @@ def bg_cdf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
 
     Accurate to about 1e-13 relative even in the far left tail, down to
     values near 1e-300; the delta = 0 case reduces to the Gumbel
-    distribution function.  Raises RegimeError, naming the triple, where
-    the normalizer Z overflows.
+    distribution function.
     """
     return _shares(p, _bg_weight(p), x)[0]
 
@@ -266,8 +268,7 @@ def bg_sf(p: BgParams, x: float | np.ndarray) -> float | np.ndarray:
     """Survival function 1 - F of the BG law, vectorized over ``x``.
 
     Computed as an integral of its own, not as 1 - F, so it keeps about
-    1e-13 relative accuracy in the far right tail.  Raises RegimeError,
-    naming the triple, where the normalizer Z overflows.
+    1e-13 relative accuracy in the far right tail.
     """
     return _shares(p, _bg_weight(p), x)[1]
 
@@ -294,17 +295,13 @@ def weighted_gumbel_cdf(p: GumbelParams, k: int, x: float | np.ndarray) -> float
 def mixture_weights(p: BgParams) -> tuple[float, float, float]:
     """Probabilities (p1, p2, p3) of the three-part weighted-Gumbel mixture.
 
-    p1 = 2/Z, p2 = -2 delta (mu + sigma gamma) / Z and
-    p3 = delta^2 [sigma^2 pi^2/6 + (mu + sigma gamma)^2] / Z sum to one for
-    every parameter triple; all three are nonnegative exactly when
-    delta * (mu + sigma gamma) < 0.
+    p1 = 2/Z, p2 = -2 delta m / Z and p3 = (delta^2 sigma^2 pi^2/6 +
+    (delta m)^2) / Z with delta m = delta mu + delta sigma gamma, from the
+    terms of Z itself (`_z`), so they sum to one and are finite for every
+    triple; all three are nonnegative exactly when delta m <= 0.
     """
-    z = normalizer(p)
-    m = p.mu + p.sigma * _EG
-    p1 = 2.0 / z
-    p2 = -2.0 * m * p.delta / z
-    p3 = (p.sigma**2 * _PI**2 / 6.0 + m * m) * p.delta**2 / z
-    return p1, p2, p3
+    z, v, dm = _z(p.mu, p.sigma, p.delta)
+    return 2.0 / z, -2.0 * dm / z, (v + dm * dm) / z
 
 
 def _bracket(p: BgParams, f_lo: float, f_hi: float) -> tuple[float, float]:

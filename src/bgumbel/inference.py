@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import BgParams, _expectation
+from .distribution import BgParams, _expectation, _z
 from .errors import DegenerateDataError, InsufficientDataError
 from .special import CONSTANTS, _hermite, _horner
 
@@ -159,17 +159,16 @@ def _as_data(data) -> np.ndarray:
 def _log_z(mu, sg, dl, k: int = 3) -> tuple:
     """Z with the gradient and Hessian of ln Z in (mu, t = ln sigma[, delta]).
 
-    Z = 1 + (delta sigma pi)^2 / 6 + a^2 with a = delta m - 1 and
-    m = mu + sigma gamma; the derivatives of ln Z are those of Z over Z.
-    With k = 2 only the (mu, t) parts.  Elementwise, so it takes floats or
-    arrays of rows alike.
+    Z = 1 + (delta sigma pi)^2 / 6 + a^2 from `_z`, with a = dm - 1 for its
+    term dm = delta mu + delta sigma gamma, and m = mu + sigma gamma; the
+    derivatives of ln Z are those of Z over Z.  With k = 2 only the (mu, t)
+    parts.  Elementwise, so it takes floats or arrays of rows alike.
     """
     c = _PI**2 / 3.0
     m = mu + sg * _EG
-    a = dl * m - 1.0
+    z, _, dm = _z(mu, sg, dl)
+    a = dm - 1.0
     d2 = dl * dl
-    q = dl * sg
-    z = 1.0 + 0.5 * c * (q * q) + a * a
     z_t = sg * (d2 * sg * c + 2.0 * dl * _EG * a)
     g0, g1 = 2.0 * dl * a / z, z_t / z
     h01 = 2.0 * d2 * _EG * sg / z - g0 * g1
@@ -303,7 +302,8 @@ def _f4_integral(mu: float, sg: float, dl: float) -> float:
 
     Here x = mu - sigma s and u = 1 - delta x, so the density's weight
     1 + u^2 cancels one factor of (1 + u^2)^2, and u^2 - 1 is written as
-    -delta x (2 - delta x), which does not cancel for small delta.  The
+    -delta x (2 - delta x), which does not cancel for small delta; that
+    ratio, at most 1 in size, is formed before the factor x^2.  The
     integrand is analytic but for the poles s0 +- i h, s0 = (mu - 1/delta) /
     sigma and h = 1/|delta sigma|, where u = -+i; the panels are graded
     geometrically towards s0, so near the poles no panel is wider than its
@@ -322,7 +322,7 @@ def _f4_integral(mu: float, sg: float, dl: float) -> float:
     s = breaks[:-1, None] + half * (1.0 + _GL_NODES)
     x = mu - sg * s
     dx = dl * x
-    f = x * x * dx * (dx - 2.0) / ((1.0 - dx) ** 2 + 1.0) * np.exp(s - np.exp(s))
+    f = dx * (dx - 2.0) / ((1.0 - dx) ** 2 + 1.0) * (x * x) * np.exp(s - np.exp(s))
     return float((half * _GL_WEIGHTS * f).sum())
 
 

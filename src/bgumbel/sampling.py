@@ -5,10 +5,10 @@ Two generators are provided:
 * :func:`mh_sample` - a random-walk Metropolis sampler targeting the BG log
   density.  This works for every valid parameter triple.
 * :func:`representation_sample` - exact i.i.d. draws for every valid
-  parameter triple.  The BG distribution function is the weighted-Gumbel
-  mixture p1 F0 + p2 F1 + p3 F2, whose middle weight changes sign, so the
-  parts cannot be inverted one at a time; the assembled function is
-  inverted by one cubic Hermite table, whatever the signs of p1, p2, p3.
+  parameter triple, by inverting the BG distribution function F through
+  one cubic Hermite table.  F is the weighted-Gumbel mixture
+  p1 F0 + p2 F1 + p3 F2, but its middle weight changes sign, so F itself
+  is inverted, not its parts, whatever the signs of p1, p2, p3.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); the seed is part
 of the public contract and identical seeds give bit-identical output.
@@ -194,12 +194,12 @@ def _inverse_cdf(p: BgParams, u: np.ndarray) -> np.ndarray:
 
 
 def representation_sample(p: BgParams, n: int, seed: int) -> np.ndarray:
-    """Exact i.i.d. draws from the mixture representation, for every parameter triple.
+    """Exact i.i.d. draws by inversion of the distribution function, for every parameter triple.
 
-    Uniform variates are pushed through the inverse of the distribution
-    function p1 F0 + p2 F1 + p3 F2, interpolated from one table (see
-    :func:`_inverse_cdf` for its accuracy).  The table inverts F itself, so
-    the probabilities need not all be nonnegative, as they are only where
+    Uniform variates are pushed through the inverse of F, interpolated
+    from one table (see :func:`_inverse_cdf` for its accuracy).  F is the
+    mixture p1 F0 + p2 F1 + p3 F2, but the table inverts F itself, so p1,
+    p2, p3 need not all be nonnegative, as they are only where
     delta * (mu + sigma * gamma) < 0.
     """
     if n < 1:

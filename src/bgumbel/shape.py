@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import BgParams, _bg_weight, _float_or_array, _log_density, normalizer
+from .distribution import BgParams, _bg_weight, _float_or_array, _log_density
 from .errors import RegimeError, RootIsolationError
 from .special import _brentq, _exp, log_weight_shares
 
@@ -172,10 +172,8 @@ def find_modes(p: BgParams) -> ShapeReport:
     the cuts lo, x_a, x_b, hi, and each pair that differs in sign (> 0 against <= 0)
     holds one root: 1 or 3 in all.  Brent's rtol 8.9e-16 ties each root's tolerance
     to the root; the xtol eps sigma/16 floors it near 0, at a sixteenth of the step
-    in x at which e^-w rounds.  Raises RegimeError, naming the triple, where
-    the normalizer Z overflows, as the density does.
+    in x at which e^-w rounds.
     """
-    normalizer(p)
     mu, sg, dl = p.mu, p.sigma, p.delta
     lo, hi = mu - sg * (1.0 + math.log1p(sg * abs(dl))), mu + sg * math.log(2.0)
     inner: tuple[float, ...] = ()

@@ -423,10 +423,10 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-12) -> float:
     returns the same float as ``scipy.optimize.brentq`` with the same
     ``xtol``, rtol 8.9e-16 and at most 100 iterations.  Each step takes the
     inverse quadratic (or secant) step when it is short enough and bisects
-    otherwise, and the search stops when half the bracket is under
-    (xtol + rtol |x|) / 2.  A NaN value of f raises ValueError, as does a
-    bracket without a sign change; running out of iterations raises
-    RuntimeError.
+    otherwise (also where it divides by zero: C's inf or nan is not short),
+    and the search stops when half the bracket is under (xtol + rtol |x|) / 2.
+    A NaN value of f raises ValueError, as does a bracket without a sign
+    change; running out of iterations raises RuntimeError.
     """
     def value(x: float) -> float:
         fx = f(x)
@@ -455,12 +455,15 @@ def _brentq(f, xa: float, xb: float, xtol: float = 1e-12) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or nan, which fails the test below
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:

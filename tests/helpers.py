@@ -138,3 +138,15 @@ def wide_box(rng: np.random.Generator, n: int) -> list[BgParams]:
     dl = 10.0 ** rng.uniform(-4, 3, n) * rng.choice([-1.0, 1.0], n)
     dl[rng.uniform(size=n) < 0.1] = 0.0
     return [BgParams(*map(float, t)) for t in zip(mu, sg, dl)]
+
+
+def extreme_box(rng: np.random.Generator, n: int) -> list[tuple[float, float, float]]:
+    """Raw (mu, sigma, delta) with |mu|, sigma, |delta| = 10^U(-300, 300) and random signs.
+
+    Plain tuples: about half of them have a normalizer above the float
+    range, which BgParams refuses.
+    """
+    e = rng.uniform(-300.0, 300.0, (n, 3))
+    s = rng.choice([-1.0, 1.0], (n, 2))
+    return [(float(s[i, 0] * 10.0 ** e[i, 0]), float(10.0 ** e[i, 1]), float(s[i, 1] * 10.0 ** e[i, 2]))
+            for i in range(n)]

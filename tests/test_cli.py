@@ -79,6 +79,11 @@ class TestEval:
         assert payload["modality"] == "bimodal"
         assert "manifest" in payload
 
+    def test_shape_where_a_brent_step_divides_by_zero(self, capsys):
+        assert run(["eval", "--mu", "9.82887835501372e+50", "--sigma", "4.10915192551165e+115",
+                    "--delta", "-4651429533822.346", "--what", "shape"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["modality"] == "bimodal"
+
     def test_moments_reference_mean(self, capsys):
         assert run(["eval", "--mu", "-2", "--sigma", "1", "--delta", "-1",
                     "--what", "moments"]) == EXIT_OK

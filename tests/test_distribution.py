@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,8 +19,6 @@ from bgumbel import (
     bg_moment,
     bg_moment_set,
     bg_pdf,
-    bg_sf,
-    find_modes,
     gumbel_cdf,
     gumbel_moment,
     gumbel_pdf,
@@ -29,7 +28,8 @@ from bgumbel import (
     weighted_gumbel_cdf,
 )
 from bgumbel.distribution import gumbel_log_pdf
-from helpers import quad_cdf, random_params
+from bgumbel.inference import _log_z
+from helpers import extreme_box, quad_cdf, random_params, wide_box
 
 EG = CONSTANTS.euler_gamma
 PI = math.pi
@@ -87,14 +87,49 @@ class TestNormalizer:
     )
     def test_overflow_names_the_triple(self, triple):
         # Z above the float range: a square that overflows (the first three)
-        # or a sum that rounds to inf (the last).  The density, F, S, the
-        # moments and the mode search raise the same error.
-        p = BgParams(*triple)
-        named = re.escape(f"mu={p.mu!r}, sigma={p.sigma!r}, delta={p.delta!r}")
-        for f in (normalizer, bg_moment_set, find_modes, lambda p: bg_pdf(p, 0.5),
-                  lambda p: bg_cdf(p, 0.5), lambda p: bg_sf(p, np.array([0.5]))):
-            with pytest.raises(RegimeError, match=named):
-                f(p)
+        # or a sum that rounds to inf (the last).  The triple is refused when
+        # it is built, so no function of the package meets an infinite Z.
+        named = re.escape("mu={!r}, sigma={!r}, delta={!r}".format(*map(float, triple)))
+        with pytest.raises(RegimeError, match=named):
+            BgParams(*triple)
+
+    def test_domain_is_where_z_overflows(self):
+        # Z written with ** and OverflowError caught as inf: the domain is
+        # every triple where that is a finite float, with delta^2 and
+        # sigma^2 formed apart.
+        def z_pow(mu, sg, dl):
+            try:
+                return 1.0 + dl**2 * sg**2 * PI**2 / 6.0 + (dl * mu + dl * sg * EG - 1.0) ** 2
+            except OverflowError:
+                return math.inf
+
+        accepted = 0
+        for t in extreme_box(np.random.default_rng(40), 3000):
+            try:
+                BgParams(*t)
+            except RegimeError:
+                assert not z_pow(*t) < math.inf, t
+            else:
+                assert z_pow(*t) < math.inf, t
+                accepted += 1
+        assert 1000 < accepted < 2000
+
+    def test_one_formula_for_floats_and_rows(self):
+        # normalizer and the likelihood's ln Z read the same Z, bit for bit,
+        # and rows of triples give the bits of each triple alone.
+        params = []
+        for t in extreme_box(np.random.default_rng(41), 2400):
+            try:
+                params.append(BgParams(*t))
+            except RegimeError:
+                pass
+        params += wide_box(np.random.default_rng(42), 1000)
+        assert len(params) > 2000
+        zs = [normalizer(p) for p in params]
+        assert zs == [_log_z(p.mu, p.sigma, p.delta)[0] for p in params]
+        rows = [np.array([getattr(p, k) for p in params]) for k in ("mu", "sigma", "delta")]
+        with np.errstate(over="ignore", invalid="ignore"):  # in ln Z's derivatives
+            assert _log_z(*rows)[0].tolist() == zs
 
 
 class TestPdf:
@@ -262,6 +297,21 @@ class TestMixtureIdentity:
         p1, p2, p3 = mixture_weights(p)
         assert p1 + p2 + p3 == pytest.approx(1.0, abs=1e-15)
         assert min(p1, p2, p3) >= 0
+
+    def test_weights_where_m_squared_overflows(self):
+        # (mu + sigma gamma)^2 is above the float range and delta^2 is
+        # subnormal; delta m is not.  p3 is 1 to 22 digits.
+        t = (8.466728487635178e+179, 6776.4283848149635, -5.205674840736454e-159)
+        got = mixture_weights(BgParams(*t))
+        assert all(math.isfinite(w) for w in got)
+        assert sum(got) == 1.0
+        with mpmath.workdps(40):
+            mu, sg, dl = map(mpmath.mpf, t)
+            m = mu + sg * mpmath.euler
+            z = 1 + (dl * sg * mpmath.pi) ** 2 / 6 + (dl * m - 1) ** 2
+            want = [2 / z, -2 * dl * m / z, dl**2 * (sg**2 * mpmath.pi**2 / 6 + m * m) / z]
+            for w, ref in zip(got, want):
+                assert abs(w - ref) <= 1e-15 * abs(ref)
 
     def test_weights_in_unit_interval_in_regime(self):
         rng = np.random.default_rng(11)

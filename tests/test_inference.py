@@ -281,6 +281,19 @@ class TestFisherInformation:
             ref = float(_mp_f4(*map(mpmath.mpf, triple)))
         assert abs(_f4_integral(*triple) - ref) <= 1e-13 * abs(ref)
 
+    def test_f4_where_its_product_overflowed(self):
+        # x^2 (delta x)^2 is above the float range on the outer panels; the
+        # ratio (u^2 - 1) / (u^2 + 1) is formed first, so nothing overflows.
+        from bgumbel.inference import _f4_integral
+
+        triple = (1.9433428704883893, 8.096614240988243, 1.738217948850059e+149)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.isfinite(fisher_information(BgParams(*triple))).all()
+            got = _f4_integral(*triple)
+        with mpmath.workdps(40):
+            ref = float(_mp_f4(*map(mpmath.mpf, triple)))
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_delta_entry_at_quad_miss_matches_mpmath(self):
         with mpmath.workdps(40):
             mu, sg, dl = map(mpmath.mpf, QUAD_MISS)

@@ -353,6 +353,23 @@ class TestRoots:
         g_root = shape.critical_function_g(p, got)
         assert g_root == 0.0 or any(v * g_root < 0.0 for v in g_band)
 
+    def test_step_that_divides_by_zero_bisects(self):
+        # On g's bracket at this triple an extrapolation step divides by
+        # zero; brentq.c gets inf or nan there, which fails its step test,
+        # and bisects.  find_modes then finds all three roots.
+        from scipy.optimize import brentq
+
+        p = BgParams(9.82887835501372e+50, 4.10915192551165e+115, -4651429533822.346)
+        xa, xb = -1.2178650978643626e+118, -4.2997534101231146e-13
+        xtol = float(np.finfo(float).eps) * p.sigma / 16.0
+
+        def g(x):
+            return shape.critical_function_g(p, x)
+
+        got = _brentq(g, xa, xb, xtol)
+        assert got == brentq(g, xa, xb, xtol=xtol, rtol=8.9e-16) == -4.356072179205446e+115
+        assert find_modes(p).modality == "bimodal"
+
     def test_brent_port_errors(self):
         with pytest.raises(ValueError, match="different signs"):
             _brentq(lambda t: t * t + 1.0, -1.0, 1.0)
