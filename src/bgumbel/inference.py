@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import BgParams, _expectation, _z
+from .distribution import BgParams, _z
 from .errors import DegenerateDataError, InsufficientDataError
 from .special import CONSTANTS, _hermite, _horner
 
@@ -82,12 +82,12 @@ np.empty(1 << 17)
 # Rows up to which `_newton` evaluates row by row in Python floats, where
 # numpy's cost of about 1 us a call would exceed the arithmetic.
 _FEW = 8
-# E[F4] of fisher_information (`_f4_integral`): 24-point Gauss-Legendre
-# panels in s = ln V on [-45, 6.8], split at fixed breaks and at s0 +- 2^j h,
-# j = -2..5, around the poles s0 +- i h of 1 / (1 + u^2).
+# fisher_information's integral: 24-point Gauss-Legendre panels in s = ln V
+# on [-45, 6.8], split at fixed breaks and at s0 +- 2^j h, j = -2..59, around
+# the poles s0 +- i h of 1 / (1 + u^2).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _PANEL_BREAKS = (-45.0, -30.0, -18.0, -10.0, -5.0, -2.0, 0.0, 1.5, 3.0, 4.5, 6.8)
-_POLE_CUTS = 2.0 ** np.arange(-2, 6)
+_POLE_CUTS = 2.0 ** np.arange(-2, 60)
 # `_starts`' sigma table, at t = ln sigma0 + _TABLE_STEP * k for k in
 # _TABLE_NODES, and its Newton steps: in mu at each node, and on each cubic.
 _TABLE_STEP, _TABLE_NODES = 0.125, np.arange(-12, 6)
@@ -268,50 +268,26 @@ def hessian(p: BgParams, data) -> np.ndarray:
 
 
 def fisher_information(p: BgParams) -> np.ndarray:
-    """Per-observation Fisher information matrix E[-d2 ln f / dtheta dtheta'].
+    """Per-observation Fisher information matrix: the covariance E[s s'] of the score s = grad ln f.
 
-    With W = (X - mu)/sigma = -ln V, the exponential-weight expectations
+    One integral in s = ln V, with X = mu - sigma s and u = 1 - delta X,
+    where the density is (1 + u^2) e^(s - e^s) / Z and
 
-        E[F1] = E[exp(-W)]                     = E[V],
-        E[F2] = E[(1 - W) exp(-W)]             = E[(1 + ln V) V],
-        E[F3] = E[(X - mu)(2 - (2 - W) exp(-W))]
-              = -2 sigma E[ln V] + sigma E[(2 ln V + ln^2 V) V]
+        s_mu    = (1 - e^s) / sigma - d ln Z / d mu,
+        s_sigma = (s e^s - s - 1) / sigma - d ln Z / d sigma,
+        s_delta = -2 X u / (1 + u^2) - d ln Z / d delta,
 
-    are log-polynomial expectations at a = 2 (and a = 1), with no exp(mu)
-    factor, so they hold for any |mu| / sigma.  The delta-block expectation
-    E[F4] = E[X^2 (u^2 - 1) / (u^2 + 1)^2] with u = 1 - delta X has no closed
-    form; `_f4_integral` integrates it by a fixed rule.
+    with grad ln Z from `_log_z`.  24-point Gauss-Legendre panels cover
+    [-45, 6.8], outside which e^(s - e^s) is under 3e-20, split at
+    s0 +- 2^j h, j = -2..59, around the poles s0 +- i h of 1 / (1 + u^2)
+    (s0 = (mu - 1/delta) / sigma, h = 1/|delta sigma|), so near the poles
+    no panel is wider than its distance from them; a cut that repeats a
+    break makes a panel of width 0.  Every weight is >= 0, and so is every
+    diagonal entry.  (1 + u^2) / Z is formed as 1/Z + (u / sqrt Z)^2 and
+    s_delta with 1/u for u where |u| > 1, so nothing overflows where u^2
+    would.  One triangle is mirrored onto the other: exactly symmetric.
     """
     mu, sg, dl = p.mu, p.sigma, p.delta
-    expect = _expectation(p)
-    ef1 = expect((1.0,), 2.0)
-    ef2 = expect((1.0, 1.0), 2.0)
-    ef3 = -2.0 * sg * expect((0.0, 1.0)) + sg * expect((0.0, 2.0, 1.0), 2.0)
-
-    z, g, h = _log_z(mu, sg, dl)
-    ef4 = _f4_integral(mu, sg, dl) / z
-
-    info = _to_sigma(g, h, sg)[1]  # the Hessian of ln Z
-    info[:2, :2] += np.array([[ef1, 1.0 - ef2], [1.0 - ef2, ef3 / sg - 1.0]]) / sg**2
-    info[2, 2] += 2.0 * ef4
-    return info
-
-
-def _f4_integral(mu: float, sg: float, dl: float) -> float:
-    """Z E[F4]: the integral of x^2 (u^2 - 1) / (u^2 + 1) e^(s - e^s) over s = ln v.
-
-    Here x = mu - sigma s and u = 1 - delta x, so the density's weight
-    1 + u^2 cancels one factor of (1 + u^2)^2, and u^2 - 1 is written as
-    -delta x (2 - delta x), which does not cancel for small delta; that
-    ratio, at most 1 in size, is formed before the factor x^2.  The
-    integrand is analytic but for the poles s0 +- i h, s0 = (mu - 1/delta) /
-    sigma and h = 1/|delta sigma|, where u = -+i; the panels are graded
-    geometrically towards s0, so near the poles no panel is wider than its
-    distance from them.  Below s = -45 and above s = 6.8 the Gumbel factor is
-    under 3e-20.  A cut that repeats a break (for |delta sigma| above about
-    1e15 the cuts round onto one another) makes a panel of width 0, whose
-    terms are 0; they move only the order of the sum's rounding.
-    """
     breaks = np.array(_PANEL_BREAKS)
     q = abs(dl * sg)  # 1/h; poles further out leave every panel smooth
     if q > 1e-6:
@@ -319,11 +295,23 @@ def _f4_integral(mu: float, sg: float, dl: float) -> float:
         inner = cuts[(cuts > breaks[0]) & (cuts < breaks[-1])]
         breaks = np.sort(np.concatenate([breaks, inner]))
     half = 0.5 * np.diff(breaks)[:, None]
-    s = breaks[:-1, None] + half * (1.0 + _GL_NODES)
+    s = (breaks[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
     x = mu - sg * s
-    dx = dl * x
-    f = dx * (dx - 2.0) / ((1.0 - dx) ** 2 + 1.0) * (x * x) * np.exp(s - np.exp(s))
-    return float((half * _GL_WEIGHTS * f).sum())
+    u = 1.0 - dl * x
+    z, g, _ = _log_z(mu, sg, dl)
+    es = np.exp(s)
+    k = np.maximum(1.0, np.abs(u))
+    r = u / k / k  # u, or 1/u where |u| > 1
+    score = np.array([
+        (1.0 - es) / sg - g[0],
+        (s * es - s - 1.0) / sg - g[1] / sg,
+        -2.0 * x * r / (1.0 + r * r) - g[2],
+    ])
+    w = (half * _GL_WEIGHTS).ravel() * (1.0 / z + (u / math.sqrt(z)) ** 2) * np.exp(s - es)
+    info = (score * w) @ score.T
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        info[i, j] = info[j, i]
+    return info
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +396,18 @@ def _delta_grid(x: np.ndarray) -> np.ndarray:
     finer scale 1/|median|.  So the spacing is even for |delta| below
     _GRID_KNEE / (|median| + s) and geometric beyond it.
     """
-    med = float(np.median(x))
-    s = 1.4826 * float(np.median(np.abs(x - med))) or float(x.std())
+    med = _median(x)
+    s = 1.4826 * _median(np.abs(x - med)) or float(x.std())
     c = math.asinh(_GRID_REACH * (abs(med) + s) / (_GRID_KNEE * s))
     u = np.arange(-_GRID_HALF, _GRID_HALF + 1) / _GRID_HALF
     return (_GRID_REACH / s) * np.sinh(c * u) / math.sinh(c)
+
+
+def _median(v: np.ndarray) -> float:
+    """np.median's value from one sort: np.median imports numpy.ma on its first call, about 10 ms."""
+    v = np.sort(v)
+    k = v.size // 2
+    return float(v[k] if v.size % 2 else (v[k - 1] + v[k]) / 2.0)
 
 
 def _maximum(a, b):

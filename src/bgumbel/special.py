@@ -399,8 +399,8 @@ def _log_poly_gamma(q: tuple[float, ...], a: float = 1.0) -> float:
     constants (-1)^j I(j; 0, inf); at any other a the ratios come from the
     polygamma forms of :func:`gamma_deriv`, j = 0..4, so the sum stays
     finite where Gamma(a) overflows.  With X = mu - sigma ln V, every
-    moment, exponential moment and Fisher expectation of the package is
-    Gamma(a) times this sum for some q and a.
+    moment and exponential moment of the package is Gamma(a) times this
+    sum for some q and a.
     """
     if a == 1.0 or a == 2.0:
         derivs = _GAMMA_DERIVS_AT_1 if a == 1.0 else _GAMMA_DERIVS_AT_2

@@ -32,6 +32,7 @@ from bgumbel.inference import (
     _delta_grid,
     _gumbel_moment_init,
     _log_z,
+    _median,
     _newton,
     _starts,
 )
@@ -56,6 +57,18 @@ F4_TRIPLES = [
     (-1.0, 2.0, -1.0),
     (1.0, 1.0, 2.0),
 ]
+# Large |delta mu| / sigma, where the (delta, delta) entry was once a
+# difference of two nearly equal terms, and |delta sigma| up to 1e4, where
+# the pole cuts reach far past the central panels.
+FOUND_TRIPLE = (16.310847272886207, 0.01666961037352121, -320.8735482061707)
+WIDE_DELTA_TRIPLES = [
+    FOUND_TRIPLE,
+    (4.500712166612473, 6.652776379872776, -891.3746972309865),
+    (0.0, 1.0, -1e4),
+]
+DELTA_ENTRY_TOL = {FOUND_TRIPLE: 1e-9, (-1e4, 3.0, -3.4e-4): 1e-10, (3.0, 1e-3, 1.0): 4e-12}
+# x^2 u^2, u = 1 - delta x, is above the float range on the outer panels.
+OVERFLOW_TRIPLE = (1.9433428704883893, 8.096614240988243, 1.738217948850059e+149)
 BOX = ((-3.0, 3.0), (0.3, 3.0), (-1.5, 1.5))  # mu, sigma, delta of the benchmark
 
 
@@ -85,6 +98,12 @@ def _mp_f4(mu, sg, dl):
         s0, h = (mu - 1 / dl) / sg, abs(1 / (dl * sg))
         pts += [s0 + k * h for k in (-8, -2, -1, -0.5, 0, 0.5, 1, 2, 8) if -60 < s0 + k * h < 9]
     return mpmath.quad(f, sorted(set(pts)), maxdegree=10)
+
+
+def _mp_delta_entry(mu, sg, dl):
+    """The (delta, delta) entry of the Fisher information, d2 ln Z / d delta2 + 2 E[F4], in mpmath."""
+    z = 1 + (dl * sg * mpmath.pi) ** 2 / 6 + (dl * (mu + sg * mpmath.euler) - 1) ** 2
+    return _mp_log_z_dd(mu, sg, dl) + 2 * _mp_f4(mu, sg, dl) / z
 
 
 def _random_instance(rng, n=60):
@@ -273,32 +292,39 @@ class TestFisherInformation:
         mc = -acc / reps
         assert np.linalg.norm(info - mc) / np.linalg.norm(info) < 0.05
 
-    @pytest.mark.parametrize("triple", F4_TRIPLES, ids=lambda t: ",".join(f"{v:g}" for v in t))
+    @pytest.mark.parametrize("triple", F4_TRIPLES + WIDE_DELTA_TRIPLES,
+                             ids=lambda t: ",".join(f"{v:g}" for v in t))
     def test_f4_rule_matches_mpmath(self, triple):
-        from bgumbel.inference import _f4_integral
-
+        # The (delta, delta) entry against d2 ln Z / d delta2 + 2 E[F4] at 40
+        # digits.  s_delta = a(X) - E[a(X)] loses about eps |E[a]| / sqrt(I)
+        # relative; where that is large the bound is looser.
         with mpmath.workdps(40):
-            ref = float(_mp_f4(*map(mpmath.mpf, triple)))
-        assert abs(_f4_integral(*triple) - ref) <= 1e-13 * abs(ref)
+            ref = float(_mp_delta_entry(*map(mpmath.mpf, triple)))
+        got = fisher_information(BgParams(*triple))[2, 2]
+        assert abs(got - ref) <= DELTA_ENTRY_TOL.get(triple, 1e-12) * abs(ref)
 
     def test_f4_where_its_product_overflowed(self):
-        # x^2 (delta x)^2 is above the float range on the outer panels; the
-        # ratio (u^2 - 1) / (u^2 + 1) is formed first, so nothing overflows.
-        from bgumbel.inference import _f4_integral
-
-        triple = (1.9433428704883893, 8.096614240988243, 1.738217948850059e+149)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            assert np.isfinite(fisher_information(BgParams(*triple))).all()
-            got = _f4_integral(*triple)
+        # The entry is 0 to 40 digits, a difference of two terms near
+        # 6.6e-299; it must be within 1e-13 of their size.
         with mpmath.workdps(40):
-            ref = float(_mp_f4(*map(mpmath.mpf, triple)))
-        assert abs(got - ref) <= 1e-13 * abs(ref)
+            mu, sg, dl = map(mpmath.mpf, OVERFLOW_TRIPLE)
+            size = abs(_mp_log_z_dd(mu, sg, dl))
+            ref = _mp_delta_entry(mu, sg, dl)
+        got = fisher_information(BgParams(*OVERFLOW_TRIPLE))[2, 2]
+        assert abs(got - float(ref)) <= 1e-13 * float(size)
+
+    @pytest.mark.parametrize("triple", [OVERFLOW_TRIPLE, (0.0, 1.0, 1e153)],
+                             ids=lambda t: ",".join(f"{v:g}" for v in t))
+    def test_finite_and_nonnegative_where_u_squared_overflows(self, triple):
+        # At (0, 1, 1e153) u^2 itself is above the float range on the outer panels.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            info = fisher_information(BgParams(*triple))
+        assert np.isfinite(info).all()
+        assert (np.diag(info) >= 0.0).all()
 
     def test_delta_entry_at_quad_miss_matches_mpmath(self):
         with mpmath.workdps(40):
-            mu, sg, dl = map(mpmath.mpf, QUAD_MISS)
-            z = 1 + (dl * sg * mpmath.pi) ** 2 / 6 + (dl * (mu + sg * mpmath.euler) - 1) ** 2
-            ref = float(_mp_log_z_dd(mu, sg, dl) + 2 * _mp_f4(mu, sg, dl) / z)
+            ref = float(_mp_delta_entry(*map(mpmath.mpf, QUAD_MISS)))
         got = fisher_information(BgParams(*QUAD_MISS))[2, 2]
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -596,6 +622,31 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert int(out.stdout) < 20 * 50
+
+    def test_fit_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma on its first call, about 10 ms of CPU
+        # that every `bgumbel fit` paid; the grid's medians come from a sort.
+        src = str(Path(bgumbel.__file__).resolve().parents[1])
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from bgumbel import fit_mle
+fit_mle(np.random.default_rng(5).gumbel(0.0, 1.0, 100))
+fit_mle(np.random.default_rng(5).gumbel(0.0, 1.0, 101))
+print("numpy.ma" in sys.modules)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_grid_medians_match_numpy(self):
+        # Odd and even sizes, and mostly tied data, whose absolute
+        # deviations have median 0.
+        rng = np.random.default_rng(9)
+        for x in (rng.gumbel(size=29), rng.gumbel(size=30), np.array([1.0, 1.0, 1.0, 1.0, 2.0])):
+            med = float(np.median(x))
+            assert _median(x) == med
+            assert _median(np.abs(x - med)) == float(np.median(np.abs(x - med)))
 
     def test_gumbel_fit_has_no_diagnostics(self, maxima29):
         assert fit_gumbel_mle(maxima29).diagnostics is None

@@ -253,7 +253,7 @@ class TestGammaDerivatives:
 
     @pytest.mark.parametrize("j", range(7))
     def test_derivatives_at_two_against_mpmath(self, j):
-        # Gamma^(j)(2), the a = 2 sums of fisher_information, with no SciPy.
+        # Gamma^(j)(2), with no SciPy.
         import mpmath as mp
 
         with mp.workdps(30):
