@@ -133,8 +133,12 @@ class FitResult:
     """Point estimates with standard errors and convergence diagnostics.
 
     ``std_errors`` is the square root of the diagonal of the inverse observed
-    information (negative Hessian at the optimum), or None when that matrix
-    is not positive definite.  ``diagnostics`` is set by ``fit_mle`` only.
+    information (negative Hessian at the optimum), or None when that matrix,
+    taken in the data's units (sigma for mu and sigma, 1/rms(x) for delta),
+    is not positive definite.  ``grad_norm_at_solution`` is the largest
+    score entry per observation in those units, and ``converged`` holds
+    where it is below 1e-6: neither depends on the units of the data.
+    ``diagnostics`` is set by ``fit_mle`` only.
     """
 
     params: BgParams
@@ -547,37 +551,33 @@ def _params(row) -> BgParams:
     return BgParams(mu, float(np.exp(t)), dl)
 
 
+def _units(x: np.ndarray, sigma: float) -> np.ndarray:
+    """The data's units of (mu, sigma, delta): sigma, sigma and 1 / rms(x); they scale as a fit does."""
+    return np.array([sigma, sigma, 1.0 / math.sqrt(np.mean(x * x))])
+
+
 def _finish(x: np.ndarray, row, iters: int, fix_delta: bool) -> FitResult:
-    """The fit at a row (mu, t = ln sigma, delta): t itself, since ln(exp t) need not round back to it."""
+    """The fit at a row (mu, t = ln sigma, delta), every decision taken in `_units` (see `FitResult`).
+
+    The standard errors come from one eigh of the scaled information.  t
+    itself is used, since ln(exp t) need not round back to it.
+    """
     p = _params(row)
     value, g, h = _at(x, p, row[1])
-    ll = float(value)
     sc, hs = _to_sigma(g, h, p.sigma)
-    if fix_delta:
-        sc[2] = 0.0
-    gnorm = float(np.linalg.norm(sc))
-    converged = gnorm < _CONVERGENCE_FACTOR * max(1.0, abs(ll))
-
-    obs = -hs[:2, :2] if fix_delta else -hs
-    std_errors: tuple[float, float, float] | None
-    try:
-        cov = np.linalg.inv(obs)
-        diag = np.diag(cov)
-        if np.any(diag <= 0) or np.any(np.linalg.eigvalsh(obs) <= 0):
-            std_errors = None
-        elif fix_delta:
-            std_errors = (math.sqrt(diag[0]), math.sqrt(diag[1]), 0.0)
-        else:
-            std_errors = tuple(math.sqrt(v) for v in diag)
-    except np.linalg.LinAlgError:
-        std_errors = None
-
+    k = 2 if fix_delta else 3
+    units = _units(x, p.sigma)[:k]
+    gnorm = float(np.max(np.abs(sc[:k] * units))) / x.size
+    w, v = np.linalg.eigh(-hs[:k, :k] * np.outer(units, units))
+    se = None
+    if w.min() > 0.0:  # also False on nan
+        se = tuple((np.sqrt((v * v) @ (1.0 / w)) * units).tolist()) + (0.0,) * (3 - k)
     return FitResult(
         params=p,
-        std_errors=std_errors,
-        log_likelihood=ll,
+        std_errors=se,
+        log_likelihood=float(value),
         n_obs=int(x.size),
-        converged=converged,
+        converged=gnorm < _CONVERGENCE_FACTOR,
         iterations=iters,
         grad_norm_at_solution=gnorm,
     )
@@ -633,7 +633,7 @@ def fit_mle(data) -> FitResult:
     for row, ll, edge in zip(pts, lls, edges):
         p = _params(row)
         for i, (m, r) in enumerate(found):
-            if _same_point(m.params, p):
+            if _same_point(m.params, p, _units(x, m.params.sigma)):
                 found[i] = m._replace(at_grid_edge=m.at_grid_edge and edge), r
                 break
         else:
@@ -657,11 +657,9 @@ def fit_mle(data) -> FitResult:
     return replace(_finish(x, best[1], inner + sum(polish), fix_delta=False), diagnostics=diagnostics)
 
 
-def _same_point(a: BgParams, b: BgParams) -> bool:
-    return all(
-        abs(u - v) <= 1e-6 * max(abs(u), abs(v)) + 1e-12
-        for u, v in ((a.mu, b.mu), (a.sigma, b.sigma), (a.delta, b.delta))
-    )
+def _same_point(a: BgParams, b: BgParams, units: np.ndarray) -> bool:
+    """Whether two maxima are one: within 1e-6 in ``units`` (`_units`) in each of mu, sigma and delta."""
+    return bool(np.all(np.abs(np.subtract((a.mu, a.sigma, a.delta), (b.mu, b.sigma, b.delta))) <= 1e-6 * units))
 
 
 def fit_gumbel_mle(data) -> FitResult:

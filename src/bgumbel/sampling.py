@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distribution import BgParams, _bg_weight, _bracket, _log_density, bg_moment_set, normalizer
+from .distribution import BgParams, _bg_weight, _bracket, _log_density, bg_moment_set
 from .special import _hermite, _horner, log_weight_shares
 
 __all__ = [
@@ -118,8 +118,10 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
     """Random-walk Metropolis chain targeting the BG density.
 
     Gaussian increments of standard deviation ``proposal_scale``; the target
-    is evaluated in log space.  Deterministic given the seed.  Runs in blocks
-    of ``_BLOCK`` iterations, so no chain-length Python list is ever built.
+    is evaluated in log space, less its constant ln(sigma Z), since only
+    differences enter: a sigma Z above the float range does not stop the
+    chain.  Deterministic given the seed.  Runs in blocks of ``_BLOCK``
+    iterations, so no chain-length Python list is ever built.
     """
     n = cfg.n_iterations
     burn = cfg.burn_in if cfg.burn_in is not None else n // 10
@@ -131,13 +133,12 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
     log_u = np.log(rng.uniform(size=n))
 
     mu, sg, dl = p.mu, p.sigma, p.delta
-    log_norm = math.log(sg * normalizer(p))
     exp, log, inf = math.exp, math.log, math.inf
 
-    # ln f(v) = ln((1 - dl v)^2 + 1) - w - e^-w - ln(sg Z) with w = (v - mu)/sg,
+    # ln f(v) + ln(sg Z) = ln((1 - dl v)^2 + 1) - w - e^-w with w = (v - mu)/sg,
     # written out in the loop, e^-w taken as inf below w = -700; at v = mu, w = 0.
     u = 1.0 - dl * x
-    lp = log(u * u + 1.0) - 1.0 - log_norm
+    lp = log(u * u + 1.0) - 1.0
     out = np.empty(n)
     accepted = 0
     for start in range(0, n, _BLOCK):
@@ -147,7 +148,7 @@ def mh_sample(p: BgParams, cfg: McmcConfig) -> Chain:
             y = x + step
             w = (y - mu) / sg
             u = 1.0 - dl * y
-            lpy = log(u * u + 1.0) - w - (exp(-w) if w > -700.0 else inf) - log_norm
+            lpy = log(u * u + 1.0) - w - (exp(-w) if w > -700.0 else inf)
             if lpy - lp > lu:
                 x, lp = y, lpy
                 accepted += 1

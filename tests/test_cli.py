@@ -367,6 +367,18 @@ class TestFit:
         d_aic = report["models"]["bg"]["gof"]["aic"] - report["models"]["gumbel"]["gof"]["aic"]
         assert d_aic <= 2.0 + 1e-9
 
+    def test_data_in_large_units_converge(self, tmp_path, capsys):
+        # Gumbel draws times 1e7: both fits converge and keep their standard
+        # errors, as they do at 1e0 (a raw-units rule flagged the BG fit, exit 4).
+        data = np.random.default_rng(4).gumbel(0.0, 1.0, 300) * 1e7
+        csv = tmp_path / "g.csv"
+        csv.write_text("x\n" + "\n".join(map(repr, data.tolist())) + "\n")
+        assert run(["fit", str(csv)]) == EXIT_OK
+        models = json.loads(capsys.readouterr().out)["models"]
+        for name in ("bg", "gumbel"):
+            assert models[name]["converged"] is True
+            assert models[name]["se"] is not None
+
     def test_blocks_and_centering(self, tmp_path, fixtures_dir, capsys):
         assert run(["fit", str(fixtures_dir / "series1774.csv"),
                     "--blocks", "60", "--center", "--model", "gumbel"]) == EXIT_OK

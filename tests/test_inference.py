@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import bgumbel
+from bgumbel import inference
 from bgumbel import (
     CONSTANTS,
     BgParams,
@@ -34,7 +35,9 @@ from bgumbel.inference import (
     _log_z,
     _median,
     _newton,
+    _same_point,
     _starts,
+    _units,
 )
 from helpers import fd_gradient, inverse_sampler, random_params
 
@@ -392,11 +395,70 @@ class TestFitMle:
             assert lrt < 6.63  # chi-square(1) 1% critical value
 
     def test_convergence_invariant(self):
-        rng = np.random.default_rng(11)
-        x = rng.gumbel(1.0, 2.0, 500)
+        # The gradient size is the largest score entry per observation in the
+        # data's units (sigma, sigma, 1 / rms(x)), delta's left out where it
+        # is held at 0; the fit has converged where it is below 1e-6.
+        x = np.random.default_rng(11).gumbel(1.0, 2.0, 500)
+        rms = math.sqrt(np.mean(x * x))
+        for fit, k in ((fit_mle(x), 3), (fit_gumbel_mle(x), 2)):
+            p = fit.params
+            size = np.max(np.abs(score(p, x) * [p.sigma, p.sigma, 1.0 / rms])[:k]) / x.size
+            assert fit.grad_norm_at_solution == pytest.approx(size, rel=1e-3, abs=1e-13)
+            assert fit.converged is (fit.grad_norm_at_solution < 1e-6)
+            assert fit.converged
+
+    @pytest.mark.parametrize("s", [2.0**-30, 2.0**30, 1e-7, 1e7], ids=["2^-30", "2^30", "1e-7", "1e7"])
+    def test_fit_decisions_do_not_depend_on_units(self, s):
+        # Data scaled by s: every fit converges, and its estimates and
+        # standard errors are those at s = 1 times (s, s, 1/s).  On these
+        # draws a raw-units rule flagged the BG fit at all four scales.
+        x = inverse_sampler(BgParams(1, 1, 2))(np.random.default_rng(22), 300)
+        units = np.array([s, s, 1.0 / s])
+        for fit in (fit_mle, fit_gumbel_mle):
+            base, scaled = fit(x), fit(x * s)
+            assert base.converged and scaled.converged
+            p, q = base.params, scaled.params
+            np.testing.assert_allclose([q.mu, q.sigma, q.delta], np.array([p.mu, p.sigma, p.delta]) * units,
+                                       rtol=1e-9)
+            assert base.std_errors is not None and scaled.std_errors is not None
+            np.testing.assert_allclose(scaled.std_errors, np.array(base.std_errors) * units, rtol=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e7])
+    def test_same_point_in_the_datas_units(self, s):
+        # Two maxima are one within 1e-6 of sigma in mu and sigma and of
+        # 1 / rms(x) in delta, whatever the units of the data; mu = 0 is no
+        # special case.
+        x = np.random.default_rng(3).gumbel(0.0, 1.0, 50)
+        np.testing.assert_allclose(_units(x * s, 2.0 * s), _units(x, 2.0) * [s, s, 1.0 / s], rtol=1e-15)
+        units = _units(x * s, s)
+        a = BgParams(0.0, s, 0.0)
+        near = BgParams(5e-7 * s, s * (1.0 + 5e-7), 5e-7 * units[2])
+        assert _same_point(a, near, units) and _same_point(near, a, units)
+        for far in (BgParams(2e-6 * s, s, 0.0), BgParams(0.0, s * (1.0 + 2e-6), 0.0),
+                    BgParams(0.0, s, 2e-6 * units[2])):
+            assert not _same_point(a, far, units)
+
+    @pytest.mark.parametrize("shift,count", [(5e-7, 1), (2e-6, 2)])
+    def test_polish_rows_at_one_point_merge(self, maxima29, monkeypatch, shift, count):
+        # maxima29's two maxima, the second polish row moved to within
+        # ``shift`` (in the data's units) of the first, 1 below it in log
+        # likelihood: within 1e-6 they are one maximum, the first.
+        x = np.asarray(maxima29, dtype=float)
+        rms, newton = math.sqrt(np.mean(x * x)), inference._newton
+
+        def twin(x, starts, k, *args):
+            rows, lls, steps = newton(x, starts, k, *args)
+            if k == 3:
+                mu, t, dl = rows[0]
+                rows[1], lls[1] = [mu + shift * math.exp(t), t + shift, dl + shift / rms], lls[0] - 1.0
+            return rows, lls, steps
+
+        base = fit_mle(x)
+        monkeypatch.setattr(inference, "_newton", twin)
         fit = fit_mle(x)
-        if fit.converged:
-            assert fit.grad_norm_at_solution < 1e-6 * max(1.0, abs(fit.log_likelihood))
+        assert len(base.diagnostics.maxima) == 2 and len(fit.diagnostics.maxima) == count
+        assert fit.diagnostics.maxima[0] == base.diagnostics.maxima[0]
+        assert fit.params == base.params and fit.diagnostics.weakly_identified is (count > 1)
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):

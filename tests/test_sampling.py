@@ -18,6 +18,7 @@ from bgumbel import (
     fit_mle,
     mh_sample,
     mixture_weights,
+    normalizer,
     representation_sample,
     save_draws_csv,
 )
@@ -41,6 +42,17 @@ class TestMcmcConfig:
 
 
 class TestMhSample:
+    def test_moves_where_sigma_z_overflows(self):
+        # A triple of helpers.extreme_box(default_rng(7), 3000) whose sigma Z
+        # is above the float range.  Metropolis needs only differences of
+        # ln f, so the chain must move; with ln(sigma Z) = inf in its target
+        # it stayed at mu.
+        p = BgParams(6.251002515515825e-07, 2.3832994407604886e+108, 8.256445018730215e-06)
+        assert math.isinf(p.sigma * normalizer(p))
+        chain = mh_sample(p, McmcConfig(n_iterations=2000, seed=1))
+        assert chain.acceptance_rate > 0.1
+        assert np.std(chain.draws) > 0.1 * p.sigma
+
     def test_determinism(self):
         cfg = McmcConfig(n_iterations=5000, seed=123)
         a = mh_sample(ROW1, cfg)
